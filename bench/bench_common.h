@@ -2,13 +2,16 @@
 // paper-vs-measured row helpers, CSV output.
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "analysis/classify.h"
 #include "core/experiment.h"
@@ -18,6 +21,27 @@
 #include "util/table.h"
 
 namespace cd::bench {
+
+/// Strict numeric flag value: all of `text` must parse as a T within
+/// [lo, hi]. Anything else — "bogus", "", "3x", out of range, NaN — prints
+/// an error naming `flag` and exits with status 2, so a typo never falls
+/// back to a default silently.
+template <typename T>
+T parse_number(std::string_view flag, std::string_view text,
+               T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end ||
+      !(value >= lo && value <= hi)) {
+    std::fprintf(stderr, "error: malformed value for %.*s: '%.*s'\n",
+                 static_cast<int>(flag.size()), flag.data(),
+                 static_cast<int>(text.size()), text.data());
+    std::exit(2);
+  }
+  return value;
+}
 
 /// Command-line knobs shared by the table/figure benches.
 struct RunOptions {
@@ -31,29 +55,31 @@ struct RunOptions {
 };
 
 /// Parses --scale=X --seed=N --threads=N --shards=N (unknown args ignored,
-/// so benches keep working under tooling that appends its own flags).
-/// --threads alone implies one shard per thread.
+/// so benches keep working under tooling that appends its own flags;
+/// malformed values exit via parse_number). --scale must be positive and
+/// --threads/--shards at least 1. --threads alone implies one shard per
+/// thread.
 inline RunOptions parse_run_options(int argc, char** argv) {
   RunOptions opt;
   bool shards_given = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--scale=", 8) == 0) {
-      opt.scale = std::atof(arg + 8);
+      opt.scale = parse_number("--scale", arg + 8,
+                               std::numeric_limits<double>::min(),
+                               std::numeric_limits<double>::max());
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(arg + 7, nullptr, 10);
+      opt.seed = parse_number<std::uint64_t>("--seed", arg + 7);
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      opt.threads = std::strtoull(arg + 10, nullptr, 10);
+      opt.threads = parse_number<std::size_t>("--threads", arg + 10, 1);
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      opt.shards = std::strtoull(arg + 9, nullptr, 10);
+      opt.shards = parse_number<std::size_t>("--shards", arg + 9, 1);
       shards_given = true;
     } else if (std::strcmp(arg, "--wildcard") == 0) {
       opt.wildcard_answers = true;
     }
   }
-  if (opt.threads == 0) opt.threads = 1;
   if (!shards_given) opt.shards = opt.threads;
-  if (opt.shards == 0) opt.shards = 1;
   return opt;
 }
 

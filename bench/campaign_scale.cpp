@@ -41,15 +41,18 @@
 // reuses), handshake overhead bytes, and probes/s; all three land in the
 // JSON row.
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/crosscheck.h"
 #include "analysis/poisoning.h"
+#include "bench_common.h"
 #include "core/parallel.h"
 #include "ditl/plan.h"
 #include "ditl/target_stream.h"
@@ -58,6 +61,7 @@
 
 namespace {
 
+using cd::bench::parse_number;
 using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point start) {
@@ -86,24 +90,26 @@ Options parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--asns=", 7) == 0) {
-      opt.asns = std::atoi(arg + 7);
+      opt.asns = parse_number("--asns", arg + 7, 1, INT_MAX);
     } else if (std::strncmp(arg, "--mean=", 7) == 0) {
-      opt.mean = std::atof(arg + 7);
+      opt.mean = parse_number("--mean", arg + 7,
+                              std::numeric_limits<double>::min(),
+                              std::numeric_limits<double>::max());
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      opt.shards = std::strtoull(arg + 9, nullptr, 10);
+      opt.shards = parse_number<std::size_t>("--shards", arg + 9, 1);
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      opt.threads = std::strtoull(arg + 10, nullptr, 10);
+      opt.threads = parse_number<std::size_t>("--threads", arg + 10, 1);
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(arg + 7, nullptr, 10);
+      opt.seed = parse_number<std::uint64_t>("--seed", arg + 7);
     } else if (std::strncmp(arg, "--crosscheck-window=", 20) == 0) {
       opt.crosscheck_window =
-          static_cast<std::uint32_t>(std::strtoul(arg + 20, nullptr, 10));
+          parse_number<std::uint32_t>("--crosscheck-window", arg + 20);
     } else if (std::strncmp(arg, "--poison-window=", 16) == 0) {
       opt.poison_window =
-          static_cast<std::uint32_t>(std::strtoul(arg + 16, nullptr, 10));
+          parse_number<std::uint32_t>("--poison-window", arg + 16);
     } else if (std::strncmp(arg, "--transport-window=", 19) == 0) {
       opt.transport_window =
-          static_cast<std::uint32_t>(std::strtoul(arg + 19, nullptr, 10));
+          parse_number<std::uint32_t>("--transport-window", arg + 19);
     } else if (std::strncmp(arg, "--spill-dir=", 12) == 0) {
       opt.spill_dir = arg + 12;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
@@ -117,8 +123,6 @@ Options parse(int argc, char** argv) {
       opt.spill = false;
     }
   }
-  if (opt.shards == 0) opt.shards = 1;
-  if (opt.threads == 0) opt.threads = 1;
   return opt;
 }
 
@@ -179,7 +183,6 @@ int main(int argc, char** argv) {
     cd::core::ExperimentConfig config;
     config.num_shards = opt.shards;
     config.num_threads = opt.threads;
-    config.stream_worlds = true;
     if (opt.spill) config.spill_dir = opt.spill_dir;
     if (opt.crosscheck_window > 0) {
       cd::scanner::CrossCheckConfig cc;

@@ -1,6 +1,6 @@
 // Microbenchmarks: simulator hot paths — longest-prefix routing, the event
 // loop, resolver cache, port allocators, the Beta range model, and the
-// packet-delivery path batched vs per-packet (events/s + allocs/packet).
+// batched packet-delivery path (events/s + allocs/packet).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -92,13 +92,11 @@ void BM_EventLoopScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopScheduleRun);
 
-/// Engine head-to-head on a persistent loop (the pools reach steady state,
+/// The timing wheel on a persistent loop (the pools reach steady state,
 /// unlike BM_EventLoopScheduleRun's cold loop-per-iteration): a jittered
 /// 4096-event schedule/run cycle, reporting events/s and allocs/event.
-/// Arg 0 = retired priority-queue oracle, arg 1 = timing wheel.
 void BM_EventLoopEngine(benchmark::State& state) {
-  sim::EventLoop loop(state.range(0) != 0 ? sim::EventEngine::kWheel
-                                          : sim::EventEngine::kPriorityQueue);
+  sim::EventLoop loop;
   constexpr int kEvents = 4096;
   Rng rng(42);
   std::vector<sim::SimTime> delays;
@@ -122,7 +120,7 @@ void BM_EventLoopEngine(benchmark::State& state) {
   state.counters["allocs/event"] =
       benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(events));
 }
-BENCHMARK(BM_EventLoopEngine)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventLoopEngine);
 
 void BM_CacheInsertLookup(benchmark::State& state) {
   dns::Cache cache;
@@ -158,7 +156,7 @@ void BM_PortAllocators(benchmark::State& state) {
 }
 BENCHMARK(BM_PortAllocators);
 
-// --- delivery path: batched vs per-packet ------------------------------------
+// --- delivery path -----------------------------------------------------------
 
 /// Two-AS world with one bound UDP host; the sender injects straight into
 /// the network (no source host needed).
@@ -185,16 +183,8 @@ struct DeliveryFixture {
 /// packets) and allocs/packet. `vary_payload` breaks the content-hash tie so
 /// packets spread over distinct arrival ticks (singleton batches).
 void delivery_bench(benchmark::State& state, bool vary_payload) {
-  // arg 0: 0 = per-packet, 1 = batched (wheel engine, the default),
-  //        2 = batched on the retired priority-queue oracle — the PR 5
-  //        event core, isolating the wheel's contribution end-to-end.
-  const bool batched = state.range(0) != 0;
   constexpr int kBurst = 256;
   DeliveryFixture f;
-  if (state.range(0) == 2) {
-    f.loop.set_engine(sim::EventEngine::kPriorityQueue);
-  }
-  f.network.set_batched_delivery(batched);
   const auto src = net::IpAddr::must_parse("21.0.0.5");
   const auto dst = net::IpAddr::must_parse("22.0.0.1");
   std::uint64_t packets = 0;
@@ -222,18 +212,18 @@ void delivery_bench(benchmark::State& state, bool vary_payload) {
 }
 
 /// Identical packets get identical content-hashed latency, so the whole
-/// burst lands on one tick: the batched path's best case (arg 1 = batched).
+/// burst lands on one tick: the coalescing best case.
 void BM_DeliverySameTickBurst(benchmark::State& state) {
   delivery_bench(state, /*vary_payload=*/false);
 }
-BENCHMARK(BM_DeliverySameTickBurst)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_DeliverySameTickBurst);
 
 /// Distinct payloads spread arrivals over distinct ticks — batches are
 /// almost all singletons, pinning the no-regression side of the ledger.
 void BM_DeliveryJitteredSingletons(benchmark::State& state) {
   delivery_bench(state, /*vary_payload=*/true);
 }
-BENCHMARK(BM_DeliveryJitteredSingletons)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_DeliveryJitteredSingletons);
 
 // --- TCP response path: bytes/s + allocs/response ---------------------------
 

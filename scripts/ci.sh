@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
 # CI entry point: plain build + full test suite, then three sanitizer
 # builds — ThreadSanitizer over the sharded-runner tests (label
-# "parallel") plus the streaming-TCP suite (label "tcp", whose
-# segmentation differential runs campaigns through the sharded runner)
-# and the persistent-transport suite (label "transport", whose campaign
-# differential does the same with pipelined sessions), AddressSanitizer
-# over the fuzz + pcap + batched-delivery + tcp + transport + campaign +
-# crosscheck + poison labels (bit-flip/truncation fuzzing only proves
-# "throws, never over-reads" when the reads are instrumented, and the TCP
-# reassembly/segment/session paths exercise the pooled-buffer recycling
-# hardest), and UndefinedBehaviorSanitizer over the same labels plus the
-# full unit suite (shift/overflow/alignment UB in the byte codecs). A
-# final label audit fails the run if a tests/test_*.cpp is unregistered
-# or a registered test carries no label.
+# "parallel") plus the streaming-TCP suite (label "tcp", whose golden
+# campaign pins run through the sharded runner), the persistent-transport
+# suite (label "transport", whose campaign differential does the same with
+# pipelined sessions) and the event-core suite (label "eventcore"),
+# AddressSanitizer over the fuzz + pcap + batched-delivery + tcp +
+# transport + campaign + crosscheck + poison labels (bit-flip/truncation
+# fuzzing only proves "throws, never over-reads" when the reads are
+# instrumented, and the TCP reassembly/segment/session paths exercise the
+# pooled-buffer recycling hardest), and UndefinedBehaviorSanitizer over the
+# same labels plus the full unit suite (shift/overflow/alignment UB in the
+# byte codecs) and the bench flag-rejection tests (label "cli"). A final
+# label audit fails the run if a tests/test_*.cpp is unregistered or a
+# registered test carries no label.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]   (default: build-ci)
 # Env:   CD_COVERAGE=1 adds a gcov-instrumented run reporting
@@ -29,7 +30,7 @@ cmake --build "${PREFIX}" -j
 ctest --test-dir "${PREFIX}" --output-on-failure -j
 
 echo "=== TSan build + parallel/tcp/transport/eventcore-label ctest ==="
-# The eventcore label covers the sharded wheel-vs-oracle campaign: each
+# The eventcore label covers the sharded golden-digest campaigns: each
 # worker thread drives its own timing wheel, so the node pools and slot
 # arrays must be provably unshared under TSan. The transport label runs
 # its persistent-session campaigns through the same threaded runner.
@@ -58,11 +59,13 @@ ASAN_OPTIONS=detect_leaks=1 \
   -L "fuzz|pcap|batched|tcp|transport|campaign|crosscheck|poison" \
   --output-on-failure
 
-echo "=== UBSan build + unit/pcap/batched/tcp/transport/campaign/crosscheck/poison ctest ==="
+echo "=== UBSan build + unit/pcap/batched/tcp/transport/campaign/crosscheck/poison/cli ctest ==="
+# The cli label runs bench binaries with malformed flag values: the strict
+# numeric parser must reject them before any campaign starts.
 cmake -B "${PREFIX}-ubsan" -S . -DCD_SANITIZE=undefined >/dev/null
 cmake --build "${PREFIX}-ubsan" -j
 ctest --test-dir "${PREFIX}-ubsan" \
-  -L "unit|pcap|batched|fuzz|tcp|transport|campaign|crosscheck|poison" \
+  -L "unit|pcap|batched|fuzz|tcp|transport|campaign|crosscheck|poison|cli" \
   --output-on-failure -j
 
 echo "=== ctest label audit ==="

@@ -209,10 +209,8 @@ ExperimentResults merge_results(std::vector<ExperimentResults> parts) {
 const ExperimentResults& Experiment::run() {
   if (results_) return *results_;
 
-  // Delivery mode must be set before any traffic is scheduled: packets keep
-  // the mode they were sent under.
-  world_.network->set_batched_delivery(config_.batched_delivery);
-  world_.network->set_tcp_single_buffer(!config_.tcp_segmentation);
+  // Transport policy must be set before any traffic is scheduled:
+  // connections keep the mode they were dialed under.
   {
     cd::sim::TransportOptions transport;
     transport.persistent = config_.persistent_tcp;
@@ -221,9 +219,6 @@ const ExperimentResults& Experiment::run() {
     transport.dot = config_.dot_sessions;
     world_.network->set_transport(transport);
   }
-  world_.loop.set_engine(config_.wheel_event_core
-                             ? cd::sim::EventEngine::kWheel
-                             : cd::sim::EventEngine::kPriorityQueue);
 
   cd::pcap::Capture capture;
   std::optional<cd::sim::Network::TapId> capture_tap;
@@ -242,33 +237,30 @@ const ExperimentResults& Experiment::run() {
     capture_tap = world_.network->attach_capture(capture, std::move(options));
   }
 
-  prober_->schedule_campaign(world_.targets, config_.shard_index,
-                             config_.num_shards);
+  // The world's target list is exactly its shard's slice (the whole campaign
+  // for a full world), so every plane schedules it unfiltered.
+  prober_->schedule_campaign(world_.targets);
   if (crosscheck_prober_) {
     // The cross-check plane enumerates its /24 universe from the campaign
-    // plan, not from the (possibly shard-sliced) materialized world, so a
-    // streamed shard schedules exactly the serial campaign's prefixes.
+    // plan over the world's shard scope, so a shard world schedules exactly
+    // its slice of the serial campaign's prefixes.
     const auto plan = cd::ditl::build_campaign_plan(world_.spec);
     std::vector<cd::scanner::PrefixTarget> prefixes;
-    prefixes.reserve(cd::ditl::count_prefix24(*plan, config_.shard_index,
-                                              config_.num_shards));
+    prefixes.reserve(cd::ditl::count_prefix24(*plan, world_.shard_index,
+                                              world_.num_shards));
     cd::ditl::for_each_prefix24(
-        *plan, config_.shard_index, config_.num_shards,
+        *plan, world_.shard_index, world_.num_shards,
         [&prefixes](cd::sim::Asn asn, const cd::net::Prefix& p24) {
           prefixes.push_back({p24, asn});
         });
     crosscheck_prober_->schedule_campaign(std::move(prefixes));
   }
   if (injector_) {
-    // Victims come from the same shard-sliced target list the prober uses:
-    // v4, non-forwarding recursive resolvers. Per-victim schedules are pure
+    // Victims come from the same target list the prober uses: v4,
+    // non-forwarding recursive resolvers. Per-victim schedules are pure
     // functions of (seed, address), so any layout attacks the same set the
     // same way.
     for (const cd::scanner::TargetInfo& t : world_.targets) {
-      if (cd::scanner::shard_of(t.asn, config_.num_shards) !=
-          config_.shard_index) {
-        continue;
-      }
       if (!t.addr.is_v4()) continue;
       const auto it = world_.truth_resolvers.find(t.addr);
       if (it == world_.truth_resolvers.end()) continue;
@@ -299,10 +291,14 @@ const ExperimentResults& Experiment::run() {
   results.transport_replies = prober_->transport_replies();
   // Deterministic teardown: with the loop fully drained, every connection on
   // every host has completed, timed out, or been idle-closed — a leaked
-  // entry means a stray timer or session index entry.
+  // entry means a stray timer or session index entry. Conservation: every
+  // packet sent was either delivered or dropped for exactly one reason.
   if (world_.loop.pending() == 0) {
     CD_ENSURE(world_.network->open_tcp_connections() == 0,
               "Experiment: TCP connections leaked past the drained loop");
+    const cd::sim::NetworkStats& net = results.network_stats;
+    CD_ENSURE(net.sent == net.delivered + net.dropped(),
+              "Experiment: packets sent != delivered + dropped at drain");
   }
   results.followup_batteries = followup_ ? followup_->batteries_sent() : 0;
   results.analyst_replays = analyst_ ? analyst_->replays() : 0;

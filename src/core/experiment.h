@@ -80,27 +80,6 @@ struct ExperimentConfig {
   bool followups = true;
   /// Safety valve for the event loop (per shard).
   std::uint64_t max_events = 400'000'000;
-  /// Coalesce same-tick deliveries per destination host into one drain
-  /// event (sim::Network::set_batched_delivery). Semantically invisible —
-  /// results_digest, capture_digest and exported pcaps are byte-identical
-  /// either way (tests/test_sim_batched.cpp) — so this stays on; the off
-  /// switch exists for the differential harness and for bisecting.
-  bool batched_delivery = true;
-  /// Stream DNS-over-TCP exchanges as MSS-capped segments
-  /// (sim::Network::set_tcp_single_buffer is the off switch). Off sends
-  /// each stream as one unsegmented payload — the pre-streaming baseline
-  /// the TCP differential tests (tests/test_sim_tcp.cpp) prove
-  /// reassembly-identical results against. Scan evidence is invariant
-  /// either way (results_digest omits timestamps and per-segment wire
-  /// artifacts), so this stays on.
-  bool tcp_segmentation = true;
-  /// Run each shard's event loop on the hierarchical timing wheel
-  /// (sim::EventEngine::kWheel) instead of the retired priority-queue
-  /// oracle. Both engines are observably identical — execution order,
-  /// results_digest, capture_digest and exported pcaps are byte-for-byte
-  /// the same (tests/test_sim_event_core.cpp) — so this stays on; the off
-  /// switch exists for the differential harness and for bisecting.
-  bool wheel_event_core = true;
 
   // --- persistent transports (sim::TransportOptions) ------------------------
   /// RFC 7766 persistent DNS-over-TCP: connections opened by Host::tcp_query
@@ -124,23 +103,17 @@ struct ExperimentConfig {
   bool dot_sessions = false;
 
   // --- sharding (core/parallel.h) -------------------------------------------
-  /// Number of AS-partitioned shards the target list is split into. Each
-  /// shard runs its own world, event loop, prober and collector; results
-  /// merge in shard order. The merged campaign evidence is identical for
-  /// any shard count (see results_digest in core/parallel.h).
+  /// Number of AS-partitioned shards the sharded runner splits the campaign
+  /// into. Each shard streams its own world slice
+  /// (ditl::generate_world(spec, shard, num_shards): O(shard) memory) and
+  /// runs its own event loop, prober and collector; results merge in shard
+  /// order. The merged campaign evidence is identical for any shard count
+  /// (see results_digest in core/parallel.h). An Experiment itself probes
+  /// whatever its world holds: the world's shard_index/num_shards scope it.
   std::size_t num_shards = 1;
   /// Worker threads the sharded runner spreads shards over. Purely an
   /// execution knob: results are bit-identical for any thread count.
   std::size_t num_threads = 1;
-  /// Which shard this Experiment instance probes (set by the runner).
-  std::size_t shard_index = 0;
-  /// Build each shard's world lazily from its slice of the target stream
-  /// (ditl::generate_world(spec, shard, num_shards)) instead of
-  /// materializing the full world per shard. Memory per shard becomes
-  /// O(shard), not O(world); evidence is bit-identical either way
-  /// (tests/test_campaign_stream.cpp), so this stays on. The off switch
-  /// exists for the differential tests and for bisecting.
-  bool stream_worlds = true;
   /// When non-empty, each shard's results are spilled to
   /// `<spill_dir>/shard_<N>.cdsp` (core/spill.h) as the shard finishes and
   /// streamed back in shard order during the merge, bounding peak memory by
@@ -181,8 +154,14 @@ struct ExperimentResults {
   /// Per-target digests of the framed TCP replies the scanner's transport
   /// battery received (empty unless followup.transport is kTcp). Targets
   /// partition by AS, so per-shard maps are disjoint and merge by
-  /// insertion; the differential tests assert the map is identical across
-  /// one-shot/persistent transports and every shard/stream/spill layout.
+  /// insertion. For a fixed layout the map is identical across
+  /// one-shot/persistent transports. Across shard layouts it is identical
+  /// only for targets whose first_hit_time is: the battery starts at the
+  /// first hit and every query name encodes its send time, which the reply
+  /// echoes, so a forwarder whose first hit waits on a shared public
+  /// resolver's cache warmness — which sharding legitimately perturbs —
+  /// gets layout-specific reply bytes (like first_hit_time, outside
+  /// results_digest).
   std::map<cd::net::IpAddr, std::uint64_t> transport_replies;
 };
 

@@ -12,7 +12,6 @@
 
 #include "core/spill.h"
 #include "ditl/world.h"
-#include "scanner/prober.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/rss.h"
@@ -63,31 +62,17 @@ struct ShardOutcome {
 };
 
 ShardOutcome run_one_shard(const cd::ditl::WorldSpec& spec,
-                           ExperimentConfig config, std::size_t shard) {
+                           const ExperimentConfig& config, std::size_t shard) {
   ShardOutcome out;
   out.timing.shard = shard;
   try {
     const auto gen_start = Clock::now();
-    // Streamed mode builds only this shard's slice of the world from the
-    // target stream — O(shard) memory; the materialized fallback builds the
-    // full world and lets the prober's shard filter skip foreign targets.
-    auto world = config.stream_worlds
-                     ? cd::ditl::generate_world(spec, shard, config.num_shards)
-                     : cd::ditl::generate_world(spec);
+    // Only this shard's slice of the world, built from the target stream:
+    // O(shard) memory, and its target list is exactly the shard's targets.
+    auto world = cd::ditl::generate_world(spec, shard, config.num_shards);
     out.timing.gen_ms = ms_since(gen_start);
+    out.timing.targets = world->targets.size();
 
-    if (config.stream_worlds) {
-      // A streamed world's target list is exactly this shard's slice.
-      out.timing.targets = world->targets.size();
-    } else {
-      for (const cd::scanner::TargetInfo& target : world->targets) {
-        if (cd::scanner::shard_of(target.asn, config.num_shards) == shard) {
-          ++out.timing.targets;
-        }
-      }
-    }
-
-    config.shard_index = shard;
     const auto run_start = Clock::now();
     Experiment experiment(*world, config);
     out.results = experiment.run();

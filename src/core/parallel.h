@@ -1,24 +1,21 @@
 // Sharded parallel campaign runner.
 //
 // The target list is partitioned into `config.num_shards` shards by
-// destination AS (shard_of in scanner/prober.h), and each shard runs a
-// complete, independently generated world — its own event loop, prober,
-// collector and follow-up engine — on a small std::thread pool. World
-// generation is deterministic and cheap relative to the campaign (tens of
-// milliseconds vs seconds at paper scale), so duplicating it per shard
-// buys full isolation: no shared mutable state, no locks on the hot path.
+// destination AS (shard_of in scanner/prober.h), and each shard runs an
+// independently generated world slice — shared infrastructure plus only its
+// own ASes' fleets, streamed from the campaign plan — with its own event
+// loop, prober, collector and follow-up engine, on a small std::thread
+// pool. World generation is deterministic and cheap relative to the
+// campaign, so duplicating the shared infrastructure per shard buys full
+// isolation: no shared mutable state, no locks on the hot path.
 //
 // Determinism contract: for a fixed spec and config, the merged results
 // are identical for ANY (num_shards, num_threads) combination — shards
 // merge in shard order, and every random decision a shard makes is derived
 // from stable identities (shard index, target address, packet content),
-// never from thread or arrival order. The contract is also independent of
-// ExperimentConfig::batched_delivery: each shard's event loop delivers
-// same-tick packets batched per destination host (or per packet with the
-// flag off) with identical observable order, so sharded campaigns get the
-// batching speedup for free. `results_digest` captures exactly
+// never from thread or arrival order. `results_digest` captures exactly
 // the shard-count-invariant portion of the results; see its comment for
-// the two documented exclusions.
+// the documented exclusions.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +55,10 @@ struct ShardedResults {
 
 /// Runs the campaign described by (spec, config) across
 /// `config.num_shards` shards on `config.num_threads` worker threads and
-/// merges the per-shard results in shard order. `config.shard_index` is
-/// ignored (the runner sets it per shard). Exceptions thrown inside a
-/// shard are rethrown on the calling thread after the pool joins.
+/// merges the per-shard results in shard order. Each shard runs on its own
+/// streamed world slice (ditl::generate_world(spec, shard, num_shards)).
+/// Exceptions thrown inside a shard are rethrown on the calling thread after
+/// the pool joins.
 [[nodiscard]] ShardedResults run_sharded_experiment(
     const cd::ditl::WorldSpec& spec, const ExperimentConfig& config);
 

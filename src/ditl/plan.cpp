@@ -151,11 +151,11 @@ std::unique_ptr<CampaignPlan> build_campaign_plan(const WorldSpec& spec) {
 }
 
 void for_each_prefix24(
-    const CampaignPlan& plan, std::size_t shard_index, std::size_t num_shards,
+    const CampaignPlan& plan, std::size_t shard, std::size_t num_shards,
     const std::function<void(cd::sim::Asn, const Prefix&)>& fn) {
   for (std::size_t id = 0; id < plan.size(); ++id) {
     const cd::sim::Asn asn = plan.asn_of(id);
-    if (cd::scanner::shard_of(asn, num_shards) != shard_index) continue;
+    if (cd::scanner::shard_of(asn, num_shards) != shard) continue;
     for (std::size_t p = 0; p < plan.v4_count(id); ++p) {
       const Prefix& announced = plan.v4_prefix(id, p);
       const std::uint64_t n24 = announced.count_subprefixes(24);
@@ -166,11 +166,11 @@ void for_each_prefix24(
   }
 }
 
-std::uint64_t count_prefix24(const CampaignPlan& plan, std::size_t shard_index,
+std::uint64_t count_prefix24(const CampaignPlan& plan, std::size_t shard,
                              std::size_t num_shards) {
   std::uint64_t n = 0;
   for (std::size_t id = 0; id < plan.size(); ++id) {
-    if (cd::scanner::shard_of(plan.asn_of(id), num_shards) != shard_index) {
+    if (cd::scanner::shard_of(plan.asn_of(id), num_shards) != shard) {
       continue;
     }
     for (std::size_t p = 0; p < plan.v4_count(id); ++p) {

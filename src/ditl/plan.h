@@ -119,12 +119,12 @@ class CampaignPlan {
 /// exactly one shard and per-shard unions reproduce the serial enumeration.
 /// IPv6 prefixes are skipped (the prefix scanner is a v4 /24 walk).
 void for_each_prefix24(
-    const CampaignPlan& plan, std::size_t shard_index, std::size_t num_shards,
+    const CampaignPlan& plan, std::size_t shard, std::size_t num_shards,
     const std::function<void(cd::sim::Asn, const cd::net::Prefix&)>& fn);
 
 /// Number of /24s for_each_prefix24 would visit (plan sizing / benches).
 [[nodiscard]] std::uint64_t count_prefix24(const CampaignPlan& plan,
-                                           std::size_t shard_index = 0,
+                                           std::size_t shard = 0,
                                            std::size_t num_shards = 1);
 
 }  // namespace cd::ditl

@@ -124,7 +124,9 @@ struct World {
   WorldSpec spec;
   /// Shard scope this world was generated for: (0, 1) is the full world;
   /// anything else materializes only the edge ASes of that shard (topology,
-  /// geo and the per-AS truth tables always cover every AS).
+  /// geo and the per-AS truth tables always cover every AS). The only
+  /// record of the scope: core::Experiment reads it for planes that
+  /// enumerate from the campaign plan rather than the target list.
   std::size_t shard_index = 0;
   std::size_t num_shards = 1;
 

@@ -3,7 +3,6 @@
 #include "dns/message.h"
 #include "net/packet.h"
 #include "resolver/auth.h"  // tcp_frame_pooled
-#include "util/error.h"
 
 namespace cd::scanner {
 
@@ -116,18 +115,13 @@ void Prober::send_transport(const TargetInfo& target, QueryMode mode) {
   ++sent_;
 }
 
-void Prober::schedule_campaign(std::vector<TargetInfo> targets,
-                               std::size_t shard_index,
-                               std::size_t num_shards) {
-  CD_ENSURE(num_shards > 0 && shard_index < num_shards,
-            "schedule_campaign: bad shard spec");
+void Prober::schedule_campaign(std::vector<TargetInfo> targets) {
   targets_ = std::move(targets);
   if (targets_.empty()) return;
 
   auto& loop = vantage_.network().loop();
   const std::size_t n = targets_.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (shard_of(targets_[i].asn, num_shards) != shard_index) continue;
     // Stagger target start times uniformly across the window. The draw is
     // the first from the target's own address-keyed substream, making the
     // start time a pure function of (seed, address) — a streamed shard world

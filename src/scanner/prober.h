@@ -55,17 +55,14 @@ class Prober {
   Prober(const Prober&) = delete;
   Prober& operator=(const Prober&) = delete;
 
-  /// Schedules spoofed reachability queries for the targets of one shard,
-  /// staggered over the campaign window. Each target's start time is drawn
-  /// from its own address-keyed substream — a pure function of (seed,
-  /// address), independent of the target's index, the list's length, and the
-  /// shard layout — so a target probes at the same simulated time whether
-  /// `targets` is the full campaign list or just one shard's slice of it.
-  /// The default arguments schedule everything (the serial campaign). Call
-  /// once; then run the event loop.
-  void schedule_campaign(std::vector<TargetInfo> targets,
-                         std::size_t shard_index = 0,
-                         std::size_t num_shards = 1);
+  /// Schedules spoofed reachability queries for every target in `targets`
+  /// (the full campaign list, or one shard world's slice of it), staggered
+  /// over the campaign window. Each target's start time is drawn from its
+  /// own address-keyed substream — a pure function of (seed, address),
+  /// independent of the target's index, the list's length, and the shard
+  /// layout — so a target probes at the same simulated time in any slice.
+  /// Call once; then run the event loop.
+  void schedule_campaign(std::vector<TargetInfo> targets);
 
   /// Sends one spoofed-source query to `target` immediately.
   void send_spoofed(const TargetInfo& target, const cd::net::IpAddr& spoofed,

@@ -38,26 +38,10 @@ bool any_bit_le(const std::uint64_t bm[4], int upto) {
   return false;
 }
 
-/// Restores the running_ flag even when a callback or the max_events guard
-/// throws out of run()/run_until().
-struct RunningGuard {
-  bool& flag;
-  ~RunningGuard() { flag = false; }
-};
-
 }  // namespace
-
-EventLoop::EventLoop(EventEngine engine) : engine_(engine) {}
 
 EventLoop::~EventLoop() {
   for (Node* chunk : chunks_) delete[] chunk;
-}
-
-void EventLoop::set_engine(EventEngine engine) {
-  CD_ENSURE(!running_ && pending() == 0 && open_batches_.empty() &&
-                oracle_.open_batches.empty(),
-            "EventLoop::set_engine: loop must be idle");
-  engine_ = engine;
 }
 
 SimTime EventLoop::clamp_at(SimTime at) const {
@@ -65,12 +49,11 @@ SimTime EventLoop::clamp_at(SimTime at) const {
 }
 
 EventId EventLoop::schedule_at(SimTime at, Callback fn) {
-  if (engine_ == EventEngine::kWheel) {
-    return wheel_schedule_at(clamp_at(at), std::move(fn));
-  }
-  const EventId id = next_id_++;
-  oracle_.queue.push(Event{clamp_at(at), id, std::move(fn)});
-  return id;
+  Node* n = alloc_node();
+  n->at = clamp_at(at);
+  n->fn = std::move(fn);
+  wheel_place(n);
+  return node_id(n);
 }
 
 EventId EventLoop::schedule_in(SimTime delay, Callback fn) {
@@ -83,37 +66,46 @@ EventId EventLoop::schedule_in(SimTime delay, Callback fn) {
 }
 
 EventId EventLoop::schedule_batched(SimTime at, BatchKey key, Callback fn) {
-  if (engine_ == EventEngine::kWheel) {
-    return wheel_schedule_batched(clamp_at(at), key, std::move(fn));
+  at = clamp_at(at);
+  const auto it = open_batches_.find(Slot{at, key});
+  if (it != open_batches_.end()) {
+    it->second->items.push_back(std::move(fn));
+    return node_id(it->second);
   }
-  const SimTime t = clamp_at(at);
-  const auto [slot, inserted] = oracle_.open_batches.try_emplace(Slot{t, key}, 0);
-  if (!inserted) {
-    oracle_.batches.at(slot->second).items.push_back(std::move(fn));
-    return slot->second;
+  Node* n = alloc_node();
+  n->at = at;
+  n->is_batch = true;
+  n->key = key;
+  n->items.push_back(std::move(fn));
+  wheel_place(n);
+  if (!open_batch_pool_.empty()) {
+    auto handle = std::move(open_batch_pool_.back());
+    open_batch_pool_.pop_back();
+    handle.key() = Slot{at, key};
+    handle.mapped() = n;
+    open_batches_.insert(std::move(handle));
+  } else {
+    open_batches_.emplace(Slot{at, key}, n);
   }
-  const EventId id = next_id_++;
-  slot->second = id;
-  Batch& batch = oracle_.batches[id];
-  batch.at = t;
-  batch.key = key;
-  batch.items.push_back(std::move(fn));
-  oracle_.queue.push(Event{t, id, {}});
-  return id;
+  return node_id(n);
 }
 
 void EventLoop::cancel(EventId id) {
-  if (engine_ == EventEngine::kWheel) {
-    wheel_cancel(id);
-    return;
+  Node* n = node_for(id);
+  if (n == nullptr || n->cancelled) return;
+  if (n->queued) {
+    n->cancelled = true;
+    --live_;
+    if (n->is_batch) close_batch(n->at, n->key, n);
+  } else if (n->draining) {
+    // Cancel from inside the running batch: the drain loop checks the flag
+    // after every item and skips the remainder. The open slot was already
+    // closed when the drain started.
+    n->cancelled = true;
   }
-  oracle_.cancelled.insert(id);
-  // A cancelled batch must also stop accepting appends: a later
-  // schedule_batched on the same slot opens a fresh, live batch.
-  const auto it = oracle_.batches.find(id);
-  if (it != oracle_.batches.end()) {
-    oracle_close_batch(it->second.at, it->second.key, id);
-  }
+  // Neither queued nor draining: a free-list node whose generation happens
+  // to match a guessed id — nothing to do (ids of executed events never
+  // match again; recycle bumped the generation).
 }
 
 void EventLoop::run(std::uint64_t max_events) {
@@ -128,44 +120,19 @@ void EventLoop::run_until(SimTime until, std::uint64_t max_events) {
 
 void EventLoop::run_impl(SimTime until, bool advance_to_until,
                          std::uint64_t max_events, const char* what) {
-  running_ = true;
-  RunningGuard guard{running_};
-  if (engine_ == EventEngine::kWheel) {
-    wheel_run(until, advance_to_until, max_events, what);
-    return;
-  }
+  SimTime last_exec = now_;
   std::uint64_t n = 0;
-  if (!advance_to_until) {
-    while (oracle_pop_one(n, max_events, what)) {
+  if (until >= now_) {
+    while (pop_one(n, max_events, what, until, last_exec)) {
     }
-    return;
   }
-  while (!oracle_.queue.empty()) {
-    // Prune cancelled tombstones BEFORE the time guard: the retired engine
-    // historically tested `top().at <= until` against a tombstone and then
-    // let pop_one execute the next real event however far past `until` it
-    // lay. The wheel never had that defect, so the oracle carries the fix.
-    const Event& top = oracle_.queue.top();
-    const auto it = oracle_.cancelled.find(top.id);
-    if (it != oracle_.cancelled.end()) {
-      oracle_.cancelled.erase(it);
-      oracle_.batches.erase(top.id);
-      oracle_.queue.pop();
-      continue;
-    }
-    if (top.at > until) break;
-    if (!oracle_pop_one(n, max_events, what)) break;
-  }
-  now_ = std::max(now_, until);
+  // The cursor may sit past the last *executed* event (it advanced through
+  // cancelled husks or up to the bound while searching). The observable
+  // clock is the last executed event, or the run_until bound.
+  now_ = advance_to_until ? std::max(last_exec, until) : last_exec;
 }
 
-std::size_t EventLoop::pending() const {
-  if (engine_ == EventEngine::kWheel) return live_;
-  return oracle_.queue.size() -
-         std::min(oracle_.queue.size(), oracle_.cancelled.size());
-}
-
-// --- timing-wheel engine -----------------------------------------------------
+// --- wheel internals ---------------------------------------------------------
 
 EventLoop::Node* EventLoop::alloc_node() {
   if (free_nodes_ == nullptr) {
@@ -232,12 +199,12 @@ void EventLoop::wheel_cascade(int level, int slot) {
   }
   s.head = s.tail = nullptr;
   bit_clear(bitmap_[level], slot);
-  // Walk the (seq-ordered) slot list in REVERSE and prepend each node to its
+  // Walk the (scheduling-ordered) slot list in REVERSE and prepend each node to its
   // target slot: the group keeps its internal order, and it lands ahead of
   // any same-`at` nodes already placed below — which were necessarily
   // scheduled later (reaching a lower level requires a smaller delta, i.e. a
   // later scheduling time for the same absolute time). That is exactly the
-  // oracle's same-tick FIFO.
+  // same-tick FIFO in scheduling order.
   for (auto it = cascade_scratch_.rbegin(); it != cascade_scratch_.rend();
        ++it) {
     Node* n = *it;
@@ -327,7 +294,7 @@ bool EventLoop::wheel_advance(SimTime until) {
   }
 }
 
-void EventLoop::wheel_close_batch(SimTime at, BatchKey key, const Node* node) {
+void EventLoop::close_batch(SimTime at, BatchKey key, const Node* node) {
   const auto it = open_batches_.find(Slot{at, key});
   if (it != open_batches_.end() && it->second == node) {
     constexpr std::size_t kOpenPoolCap = 64;
@@ -338,62 +305,8 @@ void EventLoop::wheel_close_batch(SimTime at, BatchKey key, const Node* node) {
   }
 }
 
-EventId EventLoop::wheel_schedule_at(SimTime at, Callback fn) {
-  Node* n = alloc_node();
-  n->at = at;
-  n->seq = next_id_++;
-  n->fn = std::move(fn);
-  wheel_place(n);
-  return node_id(n);
-}
-
-EventId EventLoop::wheel_schedule_batched(SimTime at, BatchKey key,
-                                          Callback fn) {
-  const auto it = open_batches_.find(Slot{at, key});
-  if (it != open_batches_.end()) {
-    it->second->items.push_back(std::move(fn));
-    return node_id(it->second);
-  }
-  Node* n = alloc_node();
-  n->at = at;
-  n->seq = next_id_++;
-  n->is_batch = true;
-  n->key = key;
-  n->items.push_back(std::move(fn));
-  wheel_place(n);
-  if (!open_batch_pool_.empty()) {
-    auto handle = std::move(open_batch_pool_.back());
-    open_batch_pool_.pop_back();
-    handle.key() = Slot{at, key};
-    handle.mapped() = n;
-    open_batches_.insert(std::move(handle));
-  } else {
-    open_batches_.emplace(Slot{at, key}, n);
-  }
-  return node_id(n);
-}
-
-void EventLoop::wheel_cancel(EventId id) {
-  Node* n = node_for(id);
-  if (n == nullptr || n->cancelled) return;
-  if (n->queued) {
-    n->cancelled = true;
-    --live_;
-    if (n->is_batch) wheel_close_batch(n->at, n->key, n);
-  } else if (n->draining) {
-    // Cancel from inside the running batch: the drain loop checks the flag
-    // after every item and skips the remainder. The open slot was already
-    // closed when the drain started.
-    n->cancelled = true;
-  }
-  // Neither queued nor draining: a free-list node whose generation happens
-  // to match a guessed id — nothing to do (ids of executed events never
-  // match again; recycle bumped the generation).
-}
-
-bool EventLoop::wheel_pop_one(std::uint64_t& n, std::uint64_t max_events,
-                              const char* what, SimTime until,
-                              SimTime& last_exec) {
+bool EventLoop::pop_one(std::uint64_t& n, std::uint64_t max_events,
+                        const char* what, SimTime until, SimTime& last_exec) {
   for (;;) {
     if (!wheel_advance(until)) return false;
     const int pos0 = static_cast<int>(static_cast<std::uint64_t>(now_) & 0xFF);
@@ -408,8 +321,7 @@ bool EventLoop::wheel_pop_one(std::uint64_t& n, std::uint64_t max_events,
     }
     node->queued = false;
     if (node->cancelled) {
-      // A cancelled node is pruned in place and — like the oracle, which
-      // skips tombstones without touching now_ — does not advance the
+      // A cancelled node is pruned in place and does not advance the
       // observable clock (last_exec stays put; run_impl restores now_).
       recycle_node(node);
       continue;
@@ -430,7 +342,7 @@ bool EventLoop::wheel_pop_one(std::uint64_t& n, std::uint64_t max_events,
     // by items (or after run_until) open a new batch, then drain in append
     // order. An item cancelling the running batch skips the remainder.
     node->draining = true;
-    wheel_close_batch(node->at, node->key, node);
+    close_batch(node->at, node->key, node);
     for (std::size_t i = 0; i < node->items.size(); ++i) {
       ++executed_;
       node->items[i]();
@@ -441,69 +353,6 @@ bool EventLoop::wheel_pop_one(std::uint64_t& n, std::uint64_t max_events,
     recycle_node(node);
     return true;
   }
-}
-
-void EventLoop::wheel_run(SimTime until, bool advance_to_until,
-                          std::uint64_t max_events, const char* what) {
-  SimTime last_exec = now_;
-  std::uint64_t n = 0;
-  if (until >= now_) {
-    while (wheel_pop_one(n, max_events, what, until, last_exec)) {
-    }
-  }
-  // The cursor may sit past the last *executed* event (it advanced through
-  // cancelled husks or up to the bound while searching). The observable
-  // clock matches the oracle: last executed event, or the run_until bound.
-  now_ = advance_to_until ? std::max(last_exec, until) : last_exec;
-}
-
-// --- legacy priority-queue engine (the oracle) -------------------------------
-
-void EventLoop::oracle_close_batch(SimTime at, BatchKey key, EventId id) {
-  const auto it = oracle_.open_batches.find(Slot{at, key});
-  if (it != oracle_.open_batches.end() && it->second == id) {
-    oracle_.open_batches.erase(it);
-  }
-}
-
-bool EventLoop::oracle_pop_one(std::uint64_t& n, std::uint64_t max_events,
-                               const char* what) {
-  while (!oracle_.queue.empty()) {
-    // priority_queue::top() is const; moving out before pop is safe because
-    // the element is removed immediately after.
-    Event ev = std::move(const_cast<Event&>(oracle_.queue.top()));
-    oracle_.queue.pop();
-    const auto it = oracle_.cancelled.find(ev.id);
-    if (it != oracle_.cancelled.end()) {
-      oracle_.cancelled.erase(it);
-      oracle_.batches.erase(ev.id);  // cancelled batch: drop its items
-      continue;
-    }
-    now_ = ev.at;
-
-    const auto bit = oracle_.batches.find(ev.id);
-    if (bit == oracle_.batches.end()) {
-      ++executed_;
-      ev.fn();
-      CD_ENSURE(++n <= max_events, what);
-      return true;
-    }
-
-    // Batch entry: close the slot before running so same-tick appends made
-    // by items (or after run_until) open a new batch, then drain in append
-    // order. An item cancelling the running batch skips the remainder.
-    Batch batch = std::move(bit->second);
-    oracle_.batches.erase(bit);
-    oracle_close_batch(batch.at, batch.key, ev.id);
-    for (Callback& item : batch.items) {
-      ++executed_;
-      item();
-      CD_ENSURE(++n <= max_events, what);
-      if (oracle_.cancelled.erase(ev.id) > 0) break;
-    }
-    return true;
-  }
-  return false;
 }
 
 }  // namespace cd::sim

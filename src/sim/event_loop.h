@@ -1,12 +1,9 @@
 // Discrete-event simulation core: a hierarchical timing wheel of intrusive,
-// pool-recycled event nodes (with the retired priority-queue engine kept as
-// a differential oracle).
+// pool-recycled event nodes.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/callback.h"
@@ -16,21 +13,12 @@ namespace cd::sim {
 
 using EventId = std::uint64_t;
 
-/// Which scheduling engine an EventLoop runs on.
-enum class EventEngine : std::uint8_t {
-  /// Hierarchical timing wheel over discrete SimTime ticks: 8 levels x 256
-  /// slots with per-level occupancy bitmaps, intrusive pooled event nodes,
-  /// and small-buffer-optimized callbacks. Zero steady-state heap
-  /// allocations per scheduled event. The default.
-  kWheel,
-  /// The retired std::priority_queue implementation, kept verbatim as the
-  /// reference oracle for the wheel's differential tests
-  /// (tests/test_sim_event_core.cpp) and for bisecting.
-  kPriorityQueue,
-};
-
-/// Single-threaded discrete event loop. Events scheduled for the same time
-/// run in scheduling order (stable). Cancellation is O(1).
+/// Single-threaded discrete event loop over a hierarchical timing wheel of
+/// discrete SimTime ticks: 8 levels x 256 slots with per-level occupancy
+/// bitmaps, intrusive pooled event nodes, and small-buffer-optimized
+/// callbacks — zero steady-state heap allocations per scheduled event.
+/// Events scheduled for the same time run in scheduling order (stable).
+/// Cancellation is O(1).
 ///
 /// Besides singleton events, the loop supports *batched* scheduling
 /// (schedule_batched): every append to the same open (time, key) batch
@@ -39,10 +27,10 @@ enum class EventEngine : std::uint8_t {
 /// in append order, at the queue position of the batch's first append; each
 /// item counts as one executed event toward the max_events guard.
 ///
-/// Both engines implement identical observable semantics — execution order,
-/// same-tick FIFO, cancel-from-inside-batch, now()/executed() trajectories —
-/// and the wheel is differentially tested against the oracle on randomized
-/// interleavings and whole campaigns.
+/// The observable semantics — execution order, same-tick FIFO,
+/// cancel-from-inside-batch, now()/executed() trajectories — are checked
+/// against a plain priority-queue reference scheduler on randomized
+/// interleavings (tests/reference_scheduler.h, tests/test_sim_event_core.cpp).
 class EventLoop {
  public:
   /// Scheduling callback. Move-only; callables up to SmallFn::kInlineSize
@@ -54,18 +42,12 @@ class EventLoop {
   /// ordering between different batches.
   using BatchKey = std::uint64_t;
 
-  explicit EventLoop(EventEngine engine = EventEngine::kWheel);
+  EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
   ~EventLoop();
 
   [[nodiscard]] SimTime now() const { return now_; }
-
-  [[nodiscard]] EventEngine engine() const { return engine_; }
-
-  /// Switches engines. Only legal while the loop is idle (nothing pending
-  /// and not inside run()/run_until()); throws InvariantError otherwise.
-  void set_engine(EventEngine engine);
 
   /// Schedule `fn` at absolute time `at` (clamped to [now, kSimTimeMax]).
   /// Returns an id usable with cancel().
@@ -100,13 +82,11 @@ class EventLoop {
   void run_until(SimTime until, std::uint64_t max_events = UINT64_MAX);
 
   /// Pending queue entries (a batch counts once, whatever its size).
-  [[nodiscard]] std::size_t pending() const;
+  [[nodiscard]] std::size_t pending() const { return live_; }
   /// Events executed so far; each batch item counts as one.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
  private:
-  // --- shared ----------------------------------------------------------------
-
   struct Slot {
     SimTime at;
     BatchKey key;
@@ -120,23 +100,17 @@ class EventLoop {
     }
   };
 
-  [[nodiscard]] SimTime clamp_at(SimTime at) const;
-  void run_impl(SimTime until, bool advance_to_until,
-                std::uint64_t max_events, const char* what);
-
-  // --- timing-wheel engine ---------------------------------------------------
-
   static constexpr int kLevels = 8;      // 8 x 8 bits covers every SimTime
   static constexpr int kSlotBits = 8;
   static constexpr int kSlotsPerLevel = 1 << kSlotBits;  // 256
   static constexpr std::size_t kNodesPerChunk = 64;
 
-  /// Intrusive event node: wheel-slot linkage, FIFO sequence number, the SBO
-  /// callback (singletons) or the pooled item vector (batches). Recycled
-  /// through a free list; `gen` invalidates stale EventIds on reuse.
+  /// Intrusive event node: wheel-slot linkage (slot lists are kept in
+  /// scheduling order, the same-tick FIFO), the SBO callback (singletons) or
+  /// the pooled item vector (batches). Recycled through a free list; `gen`
+  /// invalidates stale EventIds on reuse.
   struct Node {
     SimTime at = 0;
-    std::uint64_t seq = 0;  // global scheduling order; FIFO tie-break
     Node* next = nullptr;
     std::uint32_t index = 0;  // position in the node pool (id encoding)
     std::uint32_t gen = 0;
@@ -159,6 +133,10 @@ class EventLoop {
            static_cast<EventId>(n->index + 1);
   }
 
+  [[nodiscard]] SimTime clamp_at(SimTime at) const;
+  void run_impl(SimTime until, bool advance_to_until,
+                std::uint64_t max_events, const char* what);
+
   Node* alloc_node();
   void recycle_node(Node* n);
   [[nodiscard]] Node* node_for(EventId id);
@@ -170,57 +148,15 @@ class EventLoop {
   /// by `until` (now_ is then left at min(until, its previous value) — the
   /// caller restores the observable clock).
   bool wheel_advance(SimTime until);
-  bool wheel_pop_one(std::uint64_t& n, std::uint64_t max_events,
-                     const char* what, SimTime until, SimTime& last_exec);
-  void wheel_close_batch(SimTime at, BatchKey key, const Node* node);
+  bool pop_one(std::uint64_t& n, std::uint64_t max_events, const char* what,
+               SimTime until, SimTime& last_exec);
+  void close_batch(SimTime at, BatchKey key, const Node* node);
 
-  EventId wheel_schedule_at(SimTime at, Callback fn);
-  EventId wheel_schedule_batched(SimTime at, BatchKey key, Callback fn);
-  void wheel_cancel(EventId id);
-  void wheel_run(SimTime until, bool advance_to_until,
-                 std::uint64_t max_events, const char* what);
-
-  // --- legacy priority-queue engine (the oracle) -----------------------------
-
-  struct Event {
-    SimTime at;
-    EventId id;
-    Callback fn;  // empty for batch entries (see Oracle::batches)
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
-  };
-  /// Out-of-line item storage for a batch entry (priority_queue elements
-  /// are immutable, so appends land here, keyed by the entry's id).
-  struct Batch {
-    SimTime at = 0;
-    BatchKey key = 0;
-    std::vector<Callback> items;
-  };
-  struct Oracle {
-    std::priority_queue<Event, std::vector<Event>, Later> queue;
-    std::unordered_set<EventId> cancelled;
-    std::unordered_map<EventId, Batch> batches;
-    std::unordered_map<Slot, EventId, SlotHash> open_batches;
-  };
-
-  bool oracle_pop_one(std::uint64_t& n, std::uint64_t max_events,
-                      const char* what);
-  void oracle_close_batch(SimTime at, BatchKey key, EventId id);
-
-  // --- state -----------------------------------------------------------------
-
-  EventEngine engine_;
   SimTime now_ = 0;
-  EventId next_id_ = 1;        // oracle ids; the wheel's seq counter too
   std::uint64_t executed_ = 0;
-  bool running_ = false;
 
-  // Wheel state. The slot array is ~32 KiB; everything else is pooled and
-  // reaches a steady state where scheduling allocates nothing.
+  // The slot array is ~32 KiB; everything else is pooled and reaches a
+  // steady state where scheduling allocates nothing.
   WheelSlot slots_[kLevels][kSlotsPerLevel] = {};
   std::uint64_t bitmap_[kLevels][kSlotsPerLevel / 64] = {};
   std::size_t live_ = 0;  // queued, non-cancelled nodes
@@ -230,8 +166,6 @@ class EventLoop {
   using OpenBatchMap = std::unordered_map<Slot, Node*, SlotHash>;
   OpenBatchMap open_batches_;
   std::vector<OpenBatchMap::node_type> open_batch_pool_;
-
-  Oracle oracle_;
 };
 
 }  // namespace cd::sim

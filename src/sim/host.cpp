@@ -334,15 +334,9 @@ void Host::send_stream(const IpAddr& src, std::uint16_t sport,
                        std::uint32_t iss, std::uint32_t ack_no,
                        std::uint16_t peer_mss, const cd::ConstSpans& stream) {
   const std::size_t total = stream.size_bytes();
-  // Differential baseline: one unsegmented "segment" carrying the whole
-  // stream, the pre-streaming wire shape the byte-identity tests compare
-  // against.
-  const std::size_t cap = network_.tcp_single_buffer()
-                              ? std::max<std::size_t>(total, 1)
-                              : peer_mss;
   std::size_t off = 0;
   do {
-    const std::size_t n = std::min(cap, total - off);
+    const std::size_t n = std::min<std::size_t>(peer_mss, total - off);
     std::vector<std::uint8_t> payload = cd::BufferPool::acquire();
     stream.subchain(off, n).append_to(payload);
     const bool last = off + n == total;

@@ -274,27 +274,10 @@ void Network::send(Packet packet, Asn origin_asn) {
     case DropReason::kNone: {
       ++stats_.delivered;
       const SimTime delay = latency(origin_asn, host->asn(), packet);
-      if (!batched_) {
-        // Per-packet delivery: one closure per packet (the pre-batching
-        // reference semantics the differential tests compare against).
-        loop_.schedule_in(
-            delay, [this, host, origin_asn, pkt = std::move(packet)]() mutable {
-              // Capture at the wire in front of the destination: records land
-              // in exact delivery order, stamped with the arrival time.
-              if (!captures_.empty()) {
-                record_capture(pkt, DropReason::kNone, origin_asn);
-              }
-              host->deliver(pkt);
-              // The packet dies here; recycle its payload capacity for the
-              // next encode on this shard's thread.
-              cd::BufferPool::release(std::move(pkt.payload));
-            });
-        return;
-      }
-      // Batched delivery: coalesce into the (arrival time, host) slot. The
-      // first packet schedules the slot's single drain event — at exactly
-      // the queue position its per-packet closure would have had — and
-      // later same-slot packets ride along for the cost of a vector push.
+      // Coalesce into the (arrival time, host) slot. The first packet
+      // schedules the slot's single drain event — at exactly the queue
+      // position a per-packet delivery event would have had — and later
+      // same-slot packets ride along for the cost of a vector push.
       const SimTime at = loop_.now() + delay;
       const PendingSlot key{at, host};
       if (last_slot_batch_ != nullptr && last_slot_key_ == key) {
@@ -317,10 +300,8 @@ void Network::send(Packet packet, Asn origin_asn) {
         // A plain schedule_at, not schedule_batched: this map already keys
         // batches by (time, host), so the loop-level slot bookkeeping would
         // only ever coalesce one drain per slot — pure overhead. The tiny
-        // [this, host] capture also stays inside std::function's inline
-        // storage (the per-packet closure above cannot: it carries the
-        // packet). The drain fires exactly at `at`, so now() recovers the
-        // slot key.
+        // [this, host] capture stays inside the callback's inline storage.
+        // The drain fires exactly at `at`, so now() recovers the slot key.
         loop_.schedule_at(
             at, [this, host] { drain_batch(loop_.now(), host); });
       }

@@ -44,8 +44,8 @@ enum class DropReason : std::uint8_t {
 struct NetworkStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
-  /// Drain events scheduled by batched delivery: one per (arrival time,
-  /// destination host) slot. delivered / delivery_batches is the mean batch
+  /// Drain events scheduled by delivery: one per (arrival time, destination
+  /// host) slot. delivered / delivery_batches is the mean batch
   /// size; equal counts mean every batch held a single packet.
   std::uint64_t delivery_batches = 0;
   std::uint64_t dropped_osav = 0;
@@ -69,6 +69,12 @@ struct NetworkStats {
     dropped_no_host += other.dropped_no_host;
     dropped_stack += other.dropped_stack;
     return *this;
+  }
+
+  /// Sum of the per-reason drop counters: sent == delivered + dropped().
+  [[nodiscard]] std::uint64_t dropped() const {
+    return dropped_osav + dropped_dsav + dropped_martian + dropped_urpf +
+           dropped_unrouted + dropped_no_host + dropped_stack;
   }
 };
 
@@ -165,34 +171,15 @@ class Network {
   /// Sends `packet` as if it physically originated inside `origin_asn`
   /// (spoofed sources are free to disagree with reality — that is the point).
   /// Filtering outcome is reported to taps; delivery is scheduled on the
-  /// event loop.
+  /// event loop. Accepted packets arriving at the same (SimTime, destination
+  /// host) coalesce into one pending vector drained by a single event-loop
+  /// entry: within a slot packets deliver in send order, the slot drains at
+  /// its first packet's queue position, and taps/captures observe packets
+  /// one by one with their exact arrival timestamps.
   void send(cd::net::Packet packet, Asn origin_asn);
 
-  /// Batched same-tick delivery (default on): accepted packets arriving at
-  /// the same (SimTime, destination host) coalesce into one pending vector
-  /// drained by a single event-loop entry, instead of one heap-allocated
-  /// closure per packet. Semantics are unchanged — within a batch packets
-  /// deliver in send order (exactly the per-packet schedule order), the
-  /// batch runs at its first packet's queue position, and taps/captures
-  /// observe packets one-by-one with their exact arrival timestamps — so
-  /// results_digest, capture_digest and exported pcaps are byte-identical
-  /// either way (pinned by tests/test_sim_batched.cpp). Toggle before
-  /// traffic is in flight; packets already scheduled keep the mode they
-  /// were sent under.
-  void set_batched_delivery(bool on) { batched_ = on; }
-  [[nodiscard]] bool batched_delivery() const { return batched_; }
-
-  /// Differential baseline for the streaming TCP path (default off): when
-  /// set, hosts send each TCP stream as one unsegmented payload instead of
-  /// MSS-capped segments. Exists so tests can prove the segmented path
-  /// reassembles byte-identical streams (and identical results_digest)
-  /// against the single-buffer reference. Toggle before traffic is in
-  /// flight.
-  void set_tcp_single_buffer(bool on) { tcp_single_buffer_ = on; }
-  [[nodiscard]] bool tcp_single_buffer() const { return tcp_single_buffer_; }
-
   /// Transport-layer policy all attached hosts consult (see
-  /// TransportOptions). Like the toggles above: set before traffic flows.
+  /// TransportOptions). Set before traffic flows.
   void set_transport(const TransportOptions& options) { transport_ = options; }
   [[nodiscard]] const TransportOptions& transport() const { return transport_; }
 
@@ -305,15 +292,13 @@ class Network {
   std::vector<CaptureEntry> captures_;
   int dispatch_depth_ = 0;
   bool pending_removal_ = false;
-  bool batched_ = true;
-  bool tcp_single_buffer_ = false;
   TransportOptions transport_;
   /// Same-tick pending deliveries, one vector per (arrival time, host).
   using PendingMap =
       std::unordered_map<PendingSlot, std::vector<Delivery>, PendingSlotHash>;
   PendingMap pending_;
   /// Memo of the slot the previous send landed in: a same-tick burst to one
-  /// host (the batched path's best case) resolves the slot once instead of
+  /// host (the coalescing best case) resolves the slot once instead of
   /// hashing per packet. Safe because unordered_map never moves nodes on
   /// insert/rehash; drain_batch invalidates it when it extracts the node.
   PendingSlot last_slot_key_{};

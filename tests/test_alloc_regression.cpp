@@ -70,7 +70,7 @@ struct DeliveryFixture {
 /// Sends one burst (pool-recycled payloads), drains it, and returns the heap
 /// allocations the whole cycle performed. `vary_payload` spreads arrivals
 /// over distinct ticks (content-hashed latency); identical payloads land on
-/// one tick (the batched path's coalescing case).
+/// one tick (the delivery path's coalescing case).
 std::uint64_t burst_allocs(DeliveryFixture& f, bool vary_payload) {
   const auto src = net::IpAddr::must_parse("21.0.0.5");
   const auto dst = net::IpAddr::must_parse("22.0.0.1");
@@ -104,18 +104,6 @@ TEST(AllocRegression, JitteredDeliveryIsZeroAllocSteadyState) {
   EXPECT_EQ(allocs, 0u) << "per-packet: "
                         << static_cast<double>(allocs) / (4.0 * kBurst);
   EXPECT_EQ(f.received, 12u * kBurst);
-}
-
-TEST(AllocRegression, UnbatchedDeliveryStaysAtBaseline) {
-  // The per-packet differential baseline keeps its documented cost (the
-  // whole-Packet closure takes SmallFn's heap fallback) but must not creep.
-  DeliveryFixture f;
-  f.network.set_batched_delivery(false);
-  for (int warm = 0; warm < 8; ++warm) burst_allocs(f, false);
-  std::uint64_t allocs = 0;
-  for (int round = 0; round < 4; ++round) allocs += burst_allocs(f, false);
-  EXPECT_LE(allocs, 4u * kBurst * 4u)
-      << "per-packet: " << static_cast<double>(allocs) / (4.0 * kBurst);
 }
 
 TEST(AllocRegression, EventLoopScheduleRunIsZeroAllocSteadyState) {

@@ -1,8 +1,9 @@
 // The bounded-memory campaign guarantees: streamed shard worlds and
 // disk-spilled shard results must be invisible in the evidence — digests
-// bit-identical to the materialized, all-in-memory path for every
-// (seed, shards) tested — and the spill codec must be a strict round-trip
-// that can never parse a truncated file as partial results.
+// equal to the goldens materialized full worlds reproduced, and spilled
+// merges bit-identical to in-memory ones, for every (seed, shards) tested —
+// and the spill codec must be a strict round-trip that can never parse a
+// truncated file as partial results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <set>
 #include <string>
 
+#include "campaign_goldens.h"
 #include "core/parallel.h"
 #include "core/spill.h"
 #include "ditl/plan.h"
@@ -45,40 +47,32 @@ cd::ditl::WorldSpec test_spec(std::uint64_t seed) {
   return spec;
 }
 
-ExperimentConfig test_config(std::size_t shards, bool stream,
+/// Analyst replays and a full capture exercise the replay path and the
+/// capture merge (the golden campaign config).
+ExperimentConfig test_config(std::size_t shards,
                              const std::string& spill_dir = {}) {
-  ExperimentConfig config;
-  config.analyst = cd::scanner::AnalystConfig{};  // exercise the replay path
-  config.capture = cd::core::CaptureSpec{};       // and the capture merge
-  config.num_shards = shards;
-  config.num_threads = shards > 1 ? 2 : 1;
-  config.stream_worlds = stream;
+  ExperimentConfig config = cd::golden::full_fat_config(shards);
   config.spill_dir = spill_dir;
   return config;
 }
 
-// --- streamed-vs-materialized equivalence -----------------------------------
+// --- streamed worlds vs the materialized goldens ----------------------------
 
-TEST(CampaignStream, StreamedWorldsMatchMaterializedDigests) {
+TEST(CampaignStream, StreamedWorldsMatchGoldenDigests) {
   for (const std::uint64_t seed :
        {std::uint64_t{42}, std::uint64_t{1337}, std::uint64_t{9001}}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      const ShardedResults materialized = run_sharded_experiment(
-          test_spec(seed), test_config(shards, /*stream=*/false));
-      const ShardedResults streamed = run_sharded_experiment(
-          test_spec(seed), test_config(shards, /*stream=*/true));
-      ASSERT_GT(materialized.merged.records.size(), 0u);
-      EXPECT_EQ(results_digest(streamed.merged),
-                results_digest(materialized.merged))
+      const cd::golden::CampaignGolden& want =
+          cd::golden::full_fat(seed, shards);
+      const ShardedResults streamed =
+          run_sharded_experiment(test_spec(seed), test_config(shards));
+      ASSERT_GT(streamed.merged.records.size(), 0u);
+      EXPECT_EQ(results_digest(streamed.merged), want.results)
           << "seed=" << seed << " shards=" << shards;
-      // Same shard partition either way, so even the *full* capture — probe
-      // plane plus resolver traffic — must be byte-identical.
-      EXPECT_EQ(capture_digest(streamed.merged.capture),
-                capture_digest(materialized.merged.capture))
+      // Same shard partition as the materialized path, so even the *full*
+      // capture — probe plane plus resolver traffic — is pinned.
+      EXPECT_EQ(capture_digest(streamed.merged.capture), want.capture)
           << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(streamed.merged.queries_sent, materialized.merged.queries_sent);
-      EXPECT_EQ(streamed.merged.records.size(),
-                materialized.merged.records.size());
     }
   }
 }
@@ -146,9 +140,9 @@ TEST(CampaignSpill, SpilledCampaignMatchesInMemoryAndCleansUp) {
   std::filesystem::remove_all(dir);
   for (const std::uint64_t seed : {std::uint64_t{42}, std::uint64_t{1337}}) {
     const ShardedResults in_memory =
-        run_sharded_experiment(test_spec(seed), test_config(4, true));
+        run_sharded_experiment(test_spec(seed), test_config(4));
     const ShardedResults spilled = run_sharded_experiment(
-        test_spec(seed), test_config(4, true, dir.string()));
+        test_spec(seed), test_config(4, dir.string()));
     EXPECT_EQ(results_digest(spilled.merged), results_digest(in_memory.merged))
         << "seed=" << seed;
     EXPECT_EQ(capture_digest(spilled.merged.capture),
@@ -425,10 +419,10 @@ TEST(CampaignMemory, PeakRssBoundedRegardlessOfTargetCount) {
   large.n_asns *= 2;
 
   const auto dir = std::filesystem::temp_directory_path() / "cd_spill_rss";
-  ExperimentConfig config = test_config(4, true, (dir / "a").string());
+  ExperimentConfig config = test_config(4, (dir / "a").string());
   config.capture.reset();  // captures are O(traffic) by design
   const ShardedResults a = run_sharded_experiment(small, config);
-  config = test_config(8, true, (dir / "b").string());
+  config = test_config(8, (dir / "b").string());
   config.capture.reset();
   config.num_threads = 2;
   const ShardedResults b = run_sharded_experiment(large, config);

@@ -1,202 +1,92 @@
-// The batched-delivery equivalence guarantee: coalescing same-tick packet
-// deliveries per destination host (sim::Network batched mode, the default)
-// must be observably invisible. The differential harness runs the quickstart
-// campaign batched vs unbatched across seeds and shard counts and demands
-// identical results_digest and capture_digest — full captures, drops
-// included, follow-ups and analyst replays on — and re-verifies the golden
-// fixture (tests/fixtures/quickstart.pcap + .idx) byte-for-byte with
-// batching enabled AND disabled, so neither path can drift from the other
-// or from the checked-in wire surface.
+// The batched-delivery guarantee: coalescing same-tick packet deliveries per
+// destination host (sim::Network) must be observably invisible. The harness
+// runs the quickstart campaign across seeds and shard counts — full
+// captures, drops included, follow-ups and analyst replays on — and demands
+// the golden results_digest and capture_digest (tests/campaign_goldens.h)
+// that per-packet delivery produced, plus the golden per-record first-hit
+// times, which results_digest leaves out. The checked-in pcap fixture is
+// re-verified byte-for-byte by tests/test_golden_pcap.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
+#include "campaign_goldens.h"
 #include "core/parallel.h"
-#include "ditl/world.h"
-#include "util/pcap.h"
 
 namespace {
 
-using cd::core::CaptureSpec;
-using cd::core::ExperimentConfig;
-using cd::core::ShardedResults;
 using cd::core::capture_digest;
+using cd::core::ExperimentResults;
 using cd::core::results_digest;
 using cd::core::run_sharded_experiment;
+using cd::core::ShardedResults;
 
-cd::ditl::WorldSpec spec_for(std::uint64_t seed) {
-  cd::ditl::WorldSpec spec = cd::ditl::small_world_spec();
-  spec.seed = seed;
-  return spec;
-}
-
-/// Full-fat campaign config: capture with drop annotations, follow-up
-/// batteries, IDS analyst replays — every delivery consumer in the tree.
-ExperimentConfig campaign_config(bool batched, std::size_t shards) {
-  ExperimentConfig config;
-  config.batched_delivery = batched;
-  config.num_shards = shards;
-  config.num_threads = shards > 1 ? 2 : 1;
-  config.analyst = cd::scanner::AnalystConfig{};
-  CaptureSpec capture;
-  capture.include_drops = true;
-  config.capture = capture;
-  return config;
-}
-
-TEST(BatchedDifferential, DigestsMatchUnbatchedAcrossSeedsAndShards) {
-  const std::vector<std::uint64_t> seeds{7, 42, 99, 1337, 2020};
-  for (const std::uint64_t seed : seeds) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      const ShardedResults batched = run_sharded_experiment(
-          spec_for(seed), campaign_config(true, shards));
-      const ShardedResults unbatched = run_sharded_experiment(
-          spec_for(seed), campaign_config(false, shards));
-
-      ASSERT_GT(batched.merged.records.size(), 0u)
-          << "seed=" << seed << ": campaign saw no targets";
-      EXPECT_EQ(results_digest(batched.merged),
-                results_digest(unbatched.merged))
-          << "seed=" << seed << " shards=" << shards;
-      ASSERT_FALSE(batched.merged.capture.records.empty())
-          << "seed=" << seed << ": campaign captured nothing";
-      EXPECT_EQ(capture_digest(batched.merged.capture),
-                capture_digest(unbatched.merged.capture))
-          << "seed=" << seed << " shards=" << shards;
-      // Digest collisions are astronomically unlikely, but the full byte
-      // comparison is nearly free on top of the runs themselves.
-      EXPECT_EQ(batched.merged.capture.to_pcap(),
-                unbatched.merged.capture.to_pcap())
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(batched.merged.capture.to_index(),
-                unbatched.merged.capture.to_index())
-          << "seed=" << seed << " shards=" << shards;
-
-      // Same campaign either way, and batching actually coalesced: fewer
-      // drain events than delivered packets, none with batching off.
-      EXPECT_EQ(batched.merged.queries_sent, unbatched.merged.queries_sent);
-      EXPECT_EQ(batched.merged.followup_batteries,
-                unbatched.merged.followup_batteries);
-      EXPECT_EQ(batched.merged.analyst_replays,
-                unbatched.merged.analyst_replays);
-      EXPECT_EQ(batched.merged.network_stats.delivered,
-                unbatched.merged.network_stats.delivered);
-      EXPECT_GT(batched.merged.network_stats.delivery_batches, 0u);
-      EXPECT_LE(batched.merged.network_stats.delivery_batches,
-                batched.merged.network_stats.delivered);
-      EXPECT_EQ(unbatched.merged.network_stats.delivery_batches, 0u);
+/// FNV-1a over (target, first_hit_time, first_hit_source) in target order:
+/// the arrival-time evidence results_digest excludes.
+std::uint64_t first_hit_digest(const ExperimentResults& results) {
+  std::vector<const cd::scanner::TargetRecord*> records;
+  for (const auto& [addr, record] : results.records) records.push_back(&record);
+  std::sort(records.begin(), records.end(),
+            [](const auto* a, const auto* b) { return a->target < b->target; });
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x00000100000001B3ULL;
     }
+  };
+  for (const auto* r : records) {
+    mix(r->target.bits().hi);
+    mix(r->target.bits().lo);
+    mix(static_cast<std::uint64_t>(r->first_hit_time));
+    mix(r->first_hit_source.bits().hi);
+    mix(r->first_hit_source.bits().lo);
   }
+  return h;
 }
 
-TEST(BatchedDifferential, RecordsMatchFieldByFieldOnOneSeed) {
-  const ShardedResults batched =
-      run_sharded_experiment(spec_for(42), campaign_config(true, 4));
-  const ShardedResults unbatched =
-      run_sharded_experiment(spec_for(42), campaign_config(false, 4));
-  ASSERT_EQ(batched.merged.records.size(), unbatched.merged.records.size());
-  for (const auto& [addr, expect] : unbatched.merged.records) {
-    const auto it = batched.merged.records.find(addr);
-    ASSERT_NE(it, batched.merged.records.end()) << addr.to_string();
-    const auto& got = it->second;
-    EXPECT_EQ(got.sources_hit, expect.sources_hit) << addr.to_string();
-    EXPECT_EQ(got.categories_hit, expect.categories_hit) << addr.to_string();
+/// First-hit digests per (seed, shards), from the same tree as the
+/// campaign goldens, where per-packet delivery reproduced them exactly.
+struct FirstHitGolden {
+  std::uint64_t seed;
+  std::size_t shards;
+  std::uint64_t digest;
+};
+constexpr FirstHitGolden kFirstHit[] = {
+    {7, 1, 0x177f310fcebebaefull},    {7, 4, 0x77b2165604fcecfcull},
+    {42, 1, 0x9e87610e04723e75ull},   {42, 4, 0xb601369a3a0f0e69ull},
+    {99, 1, 0xfb0994e769f8c7b1ull},   {99, 4, 0xcfbd15133b84ba02ull},
+    {1337, 1, 0xcf80f62816a8c61aull}, {1337, 4, 0xb5e184afb159dfc5ull},
+    {2020, 1, 0x2e5fcf81a5466485ull}, {2020, 4, 0xe39bea815b4bc23eull},
+};
+
+TEST(BatchedDelivery, DigestsMatchGoldensAcrossSeedsAndShards) {
+  for (const FirstHitGolden& fh : kFirstHit) {
+    const cd::golden::CampaignGolden& want =
+        cd::golden::full_fat(fh.seed, fh.shards);
+    const ShardedResults out =
+        run_sharded_experiment(cd::golden::small_spec(fh.seed),
+                               cd::golden::full_fat_config(fh.shards));
+    const ExperimentResults& r = out.merged;
+    ASSERT_GT(r.records.size(), 0u) << "seed=" << fh.seed;
+    ASSERT_FALSE(r.capture.records.empty()) << "seed=" << fh.seed;
+    EXPECT_EQ(results_digest(r), want.results)
+        << "seed=" << fh.seed << " shards=" << fh.shards;
+    EXPECT_EQ(capture_digest(r.capture), want.capture)
+        << "seed=" << fh.seed << " shards=" << fh.shards;
     // Batching preserves even the timing artifacts sharding is allowed to
-    // perturb: arrival times are identical per packet, not just per digest.
-    EXPECT_EQ(got.first_hit_time, expect.first_hit_time) << addr.to_string();
-    EXPECT_EQ(got.first_hit_source, expect.first_hit_source);
-    EXPECT_EQ(got.ports_v4, expect.ports_v4) << addr.to_string();
-    EXPECT_EQ(got.ports_v6, expect.ports_v6) << addr.to_string();
-    EXPECT_EQ(got.open_hit, expect.open_hit);
-    EXPECT_EQ(got.tcp_hit, expect.tcp_hit);
-  }
-  EXPECT_EQ(batched.merged.qmin_asns, unbatched.merged.qmin_asns);
-  EXPECT_EQ(batched.merged.lifetime_excluded_targets,
-            unbatched.merged.lifetime_excluded_targets);
-}
+    // perturb: arrival times are pinned per record, not just per digest.
+    EXPECT_EQ(first_hit_digest(r), fh.digest)
+        << "seed=" << fh.seed << " shards=" << fh.shards;
 
-TEST(BatchedDifferential, DigestsMatchOracleEventEngineAcrossSeedsAndShards) {
-  // The wheel-vs-oracle axis on the same full-fat harness: with batching on
-  // (the production configuration), the timing-wheel event core must be
-  // indistinguishable from the retired priority-queue engine — evidence,
-  // capture digests, and exported wire bytes — across seeds and shard
-  // counts.
-  for (const std::uint64_t seed : {7ULL, 42ULL, 99ULL, 1337ULL, 2020ULL}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      ExperimentConfig oracle_config = campaign_config(true, shards);
-      oracle_config.wheel_event_core = false;
-      const ShardedResults wheel = run_sharded_experiment(
-          spec_for(seed), campaign_config(true, shards));
-      const ShardedResults oracle =
-          run_sharded_experiment(spec_for(seed), oracle_config);
-
-      ASSERT_GT(wheel.merged.records.size(), 0u)
-          << "seed=" << seed << ": campaign saw no targets";
-      EXPECT_EQ(results_digest(wheel.merged), results_digest(oracle.merged))
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(capture_digest(wheel.merged.capture),
-                capture_digest(oracle.merged.capture))
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(wheel.merged.capture.to_pcap(),
-                oracle.merged.capture.to_pcap())
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(wheel.merged.capture.to_index(),
-                oracle.merged.capture.to_index())
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(wheel.merged.network_stats.delivered,
-                oracle.merged.network_stats.delivered);
-    }
-  }
-}
-
-// --- golden fixture re-verification ------------------------------------------
-
-std::string fixture_path(const char* name) {
-  return std::string(CD_FIXTURE_DIR) + "/" + name;
-}
-
-/// The exact campaign test_golden_pcap.cpp pins, parameterized by delivery
-/// mode (the fixture itself predates batching: it was generated by the
-/// per-packet path).
-cd::pcap::Capture golden_campaign(bool batched) {
-  cd::ditl::WorldSpec spec = cd::ditl::small_world_spec();
-  spec.n_asns = 6;
-  spec.seed = 42;
-  ExperimentConfig config;
-  config.batched_delivery = batched;
-  CaptureSpec capture;
-  capture.include_drops = true;
-  config.capture = capture;
-  return run_sharded_experiment(spec, config).merged.capture;
-}
-
-TEST(BatchedGoldenPcap, FixtureBytesIdenticalWithBatchingOnAndOff) {
-  if (std::getenv("CD_GOLDEN_WRITE") != nullptr) {
-    GTEST_SKIP() << "fixture being regenerated";
-  }
-  const auto golden_pcap = cd::pcap::read_file(fixture_path("quickstart.pcap"));
-  const auto golden_index =
-      cd::pcap::read_file(fixture_path("quickstart.pcap.idx"));
-
-  for (const bool batched : {true, false}) {
-    const cd::pcap::Capture capture = golden_campaign(batched);
-    ASSERT_FALSE(capture.records.empty());
-    const auto pcap_bytes = capture.to_pcap();
-    const auto index_bytes = capture.to_index();
-    ASSERT_EQ(pcap_bytes.size(), golden_pcap.size())
-        << "batched=" << batched;
-    ASSERT_EQ(index_bytes.size(), golden_index.size())
-        << "batched=" << batched;
-    for (std::size_t i = 0; i < pcap_bytes.size(); ++i) {
-      ASSERT_EQ(pcap_bytes[i], golden_pcap[i])
-          << "batched=" << batched << ": pcap differs at offset " << i;
-    }
-    for (std::size_t i = 0; i < index_bytes.size(); ++i) {
-      ASSERT_EQ(index_bytes[i], golden_index[i])
-          << "batched=" << batched << ": index differs at offset " << i;
-    }
+    // One drain event per (arrival tick, host) slot, never more than the
+    // packets delivered; every packet sent was delivered or dropped.
+    EXPECT_GT(r.network_stats.delivery_batches, 0u);
+    EXPECT_LE(r.network_stats.delivery_batches, r.network_stats.delivered);
+    EXPECT_EQ(r.network_stats.sent,
+              r.network_stats.delivered + r.network_stats.dropped());
   }
 }
 

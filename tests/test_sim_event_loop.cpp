@@ -1,7 +1,5 @@
-// Unit tests: discrete event loop. Every test runs against BOTH engines —
-// the hierarchical timing wheel and the retired priority-queue oracle — so
-// the semantic contract (time order, same-tick FIFO, batch lifecycle,
-// cancellation) is pinned identically for the pair.
+// Unit tests: discrete event loop — the semantic contract of the timing
+// wheel (time order, same-tick FIFO, batch lifecycle, cancellation).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,25 +17,8 @@ namespace {
 using namespace cd;
 using sim::EventLoop;
 
-class EventLoopTest : public ::testing::TestWithParam<sim::EventEngine> {};
-class EventLoopBatchTest : public ::testing::TestWithParam<sim::EventEngine> {};
-
-std::string engine_name(
-    const ::testing::TestParamInfo<sim::EventEngine>& info) {
-  return info.param == sim::EventEngine::kWheel ? "Wheel" : "PriorityQueue";
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, EventLoopTest,
-                         ::testing::Values(sim::EventEngine::kWheel,
-                                           sim::EventEngine::kPriorityQueue),
-                         engine_name);
-INSTANTIATE_TEST_SUITE_P(Engines, EventLoopBatchTest,
-                         ::testing::Values(sim::EventEngine::kWheel,
-                                           sim::EventEngine::kPriorityQueue),
-                         engine_name);
-
-TEST_P(EventLoopTest, RunsInTimeOrder) {
-  EventLoop loop(GetParam());
+TEST(EventLoopTest, RunsInTimeOrder) {
+  EventLoop loop;
   std::vector<int> order;
   loop.schedule_at(30, [&] { order.push_back(3); });
   loop.schedule_at(10, [&] { order.push_back(1); });
@@ -47,8 +28,8 @@ TEST_P(EventLoopTest, RunsInTimeOrder) {
   EXPECT_EQ(loop.now(), 30);
 }
 
-TEST_P(EventLoopTest, SameTimeIsFifo) {
-  EventLoop loop(GetParam());
+TEST(EventLoopTest, SameTimeIsFifo) {
+  EventLoop loop;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     loop.schedule_at(5, [&order, i] { order.push_back(i); });
@@ -57,8 +38,8 @@ TEST_P(EventLoopTest, SameTimeIsFifo) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
-TEST_P(EventLoopTest, ScheduleInIsRelative) {
-  EventLoop loop(GetParam());
+TEST(EventLoopTest, ScheduleInIsRelative) {
+  EventLoop loop;
   sim::SimTime fired_at = -1;
   loop.schedule_at(100, [&] {
     loop.schedule_in(50, [&] { fired_at = loop.now(); });
@@ -67,8 +48,8 @@ TEST_P(EventLoopTest, ScheduleInIsRelative) {
   EXPECT_EQ(fired_at, 150);
 }
 
-TEST_P(EventLoopTest, PastTimesClampToNow) {
-  EventLoop loop(GetParam());
+TEST(EventLoopTest, PastTimesClampToNow) {
+  EventLoop loop;
   sim::SimTime fired_at = -1;
   loop.schedule_at(100, [&] {
     loop.schedule_at(10, [&] { fired_at = loop.now(); });
@@ -77,8 +58,8 @@ TEST_P(EventLoopTest, PastTimesClampToNow) {
   EXPECT_EQ(fired_at, 100);
 }
 
-TEST_P(EventLoopTest, CancelPreventsExecution) {
-  EventLoop loop(GetParam());
+TEST(EventLoopTest, CancelPreventsExecution) {
+  EventLoop loop;
   bool ran = false;
   const auto id = loop.schedule_at(10, [&] { ran = true; });
   loop.cancel(id);
@@ -87,8 +68,8 @@ TEST_P(EventLoopTest, CancelPreventsExecution) {
   EXPECT_EQ(loop.executed(), 0u);
 }
 
-TEST_P(EventLoopTest, CancelAlreadyRunIsSafe) {
-  EventLoop loop(GetParam());
+TEST(EventLoopTest, CancelAlreadyRunIsSafe) {
+  EventLoop loop;
   const auto id = loop.schedule_at(1, [] {});
   loop.run();
   loop.cancel(id);  // no effect, no crash
@@ -97,8 +78,8 @@ TEST_P(EventLoopTest, CancelAlreadyRunIsSafe) {
   EXPECT_EQ(loop.executed(), 2u);
 }
 
-TEST_P(EventLoopTest, RunUntilLeavesLaterEvents) {
-  EventLoop loop(GetParam());
+TEST(EventLoopTest, RunUntilLeavesLaterEvents) {
+  EventLoop loop;
   int count = 0;
   loop.schedule_at(10, [&] { ++count; });
   loop.schedule_at(20, [&] { ++count; });
@@ -111,8 +92,8 @@ TEST_P(EventLoopTest, RunUntilLeavesLaterEvents) {
   EXPECT_EQ(count, 3);
 }
 
-TEST_P(EventLoopTest, MaxEventsGuardThrows) {
-  EventLoop loop(GetParam());
+TEST(EventLoopTest, MaxEventsGuardThrows) {
+  EventLoop loop;
   // A self-rescheduling event would run forever.
   std::function<void()> self = [&] { loop.schedule_in(1, self); };
   loop.schedule_at(0, self);
@@ -121,8 +102,8 @@ TEST_P(EventLoopTest, MaxEventsGuardThrows) {
 
 // --- batched scheduling ------------------------------------------------------
 
-TEST_P(EventLoopBatchTest, SameSlotCoalescesIntoOneQueueEntry) {
-  EventLoop loop(GetParam());
+TEST(EventLoopBatchTest, SameSlotCoalescesIntoOneQueueEntry) {
+  EventLoop loop;
   std::vector<int> order;
   const auto id1 = loop.schedule_batched(10, 7, [&] { order.push_back(1); });
   const auto id2 = loop.schedule_batched(10, 7, [&] { order.push_back(2); });
@@ -135,10 +116,10 @@ TEST_P(EventLoopBatchTest, SameSlotCoalescesIntoOneQueueEntry) {
   EXPECT_EQ(loop.executed(), 3u);  // each item counts
 }
 
-TEST_P(EventLoopBatchTest, BatchRunsAtFirstAppendPosition) {
+TEST(EventLoopBatchTest, BatchRunsAtFirstAppendPosition) {
   // Interleaved with singleton events on the same tick, the whole batch
   // runs where its FIRST item was scheduled; later appends ride along.
-  EventLoop loop(GetParam());
+  EventLoop loop;
   std::vector<char> order;
   loop.schedule_at(10, [&] { order.push_back('a'); });
   loop.schedule_batched(10, 1, [&] { order.push_back('x'); });
@@ -149,8 +130,8 @@ TEST_P(EventLoopBatchTest, BatchRunsAtFirstAppendPosition) {
   EXPECT_EQ(order, (std::vector<char>{'a', 'x', 'y', 'b', 'c'}));
 }
 
-TEST_P(EventLoopBatchTest, DistinctKeysKeepDistinctBatchesInCreationOrder) {
-  EventLoop loop(GetParam());
+TEST(EventLoopBatchTest, DistinctKeysKeepDistinctBatchesInCreationOrder) {
+  EventLoop loop;
   std::vector<int> order;
   loop.schedule_batched(5, 100, [&] { order.push_back(1); });
   loop.schedule_batched(5, 200, [&] { order.push_back(10); });
@@ -161,8 +142,8 @@ TEST_P(EventLoopBatchTest, DistinctKeysKeepDistinctBatchesInCreationOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 10, 20}));
 }
 
-TEST_P(EventLoopBatchTest, SameKeyDifferentTimesAreDifferentBatches) {
-  EventLoop loop(GetParam());
+TEST(EventLoopBatchTest, SameKeyDifferentTimesAreDifferentBatches) {
+  EventLoop loop;
   std::vector<int> order;
   loop.schedule_batched(20, 7, [&] { order.push_back(2); });
   loop.schedule_batched(10, 7, [&] { order.push_back(1); });
@@ -171,8 +152,8 @@ TEST_P(EventLoopBatchTest, SameKeyDifferentTimesAreDifferentBatches) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST_P(EventLoopBatchTest, PastTimesClampToNowLikeScheduleAt) {
-  EventLoop loop(GetParam());
+TEST(EventLoopBatchTest, PastTimesClampToNowLikeScheduleAt) {
+  EventLoop loop;
   sim::SimTime fired_at = -1;
   loop.schedule_at(100, [&] {
     loop.schedule_batched(10, 3, [&] { fired_at = loop.now(); });
@@ -181,8 +162,8 @@ TEST_P(EventLoopBatchTest, PastTimesClampToNowLikeScheduleAt) {
   EXPECT_EQ(fired_at, 100);
 }
 
-TEST_P(EventLoopBatchTest, CancelDropsWholeBatch) {
-  EventLoop loop(GetParam());
+TEST(EventLoopBatchTest, CancelDropsWholeBatch) {
+  EventLoop loop;
   int ran = 0;
   const auto id = loop.schedule_batched(10, 1, [&] { ++ran; });
   loop.schedule_batched(10, 1, [&] { ++ran; });
@@ -192,8 +173,8 @@ TEST_P(EventLoopBatchTest, CancelDropsWholeBatch) {
   EXPECT_EQ(loop.executed(), 0u);
 }
 
-TEST_P(EventLoopBatchTest, AppendAfterCancelOpensFreshLiveBatch) {
-  EventLoop loop(GetParam());
+TEST(EventLoopBatchTest, AppendAfterCancelOpensFreshLiveBatch) {
+  EventLoop loop;
   std::vector<int> order;
   const auto dead = loop.schedule_batched(10, 1, [&] { order.push_back(1); });
   loop.cancel(dead);
@@ -203,8 +184,8 @@ TEST_P(EventLoopBatchTest, AppendAfterCancelOpensFreshLiveBatch) {
   EXPECT_EQ(order, (std::vector<int>{2}));
 }
 
-TEST_P(EventLoopBatchTest, CancelFromInsideRunningBatchSkipsRemainder) {
-  EventLoop loop(GetParam());
+TEST(EventLoopBatchTest, CancelFromInsideRunningBatchSkipsRemainder) {
+  EventLoop loop;
   std::vector<int> order;
   sim::EventId id = 0;
   id = loop.schedule_batched(10, 1, [&] {
@@ -218,8 +199,8 @@ TEST_P(EventLoopBatchTest, CancelFromInsideRunningBatchSkipsRemainder) {
   EXPECT_EQ(loop.executed(), 1u);
 }
 
-TEST_P(EventLoopBatchTest, ItemCanCancelAnotherPendingBatch) {
-  EventLoop loop(GetParam());
+TEST(EventLoopBatchTest, ItemCanCancelAnotherPendingBatch) {
+  EventLoop loop;
   bool later_ran = false;
   const auto later = loop.schedule_batched(20, 2, [&] { later_ran = true; });
   loop.schedule_batched(10, 1, [&] { loop.cancel(later); });
@@ -227,10 +208,10 @@ TEST_P(EventLoopBatchTest, ItemCanCancelAnotherPendingBatch) {
   EXPECT_FALSE(later_ran);
 }
 
-TEST_P(EventLoopBatchTest, AppendFromInsideDrainOpensSecondBatchSameTick) {
+TEST(EventLoopBatchTest, AppendFromInsideDrainOpensSecondBatchSameTick) {
   // A batch closes when it starts draining: same-slot appends made by its
   // own items form a NEW batch that still runs this tick, after the first.
-  EventLoop loop(GetParam());
+  EventLoop loop;
   std::vector<int> order;
   loop.schedule_batched(10, 1, [&] {
     order.push_back(1);
@@ -242,8 +223,8 @@ TEST_P(EventLoopBatchTest, AppendFromInsideDrainOpensSecondBatchSameTick) {
   EXPECT_EQ(loop.now(), 10);
 }
 
-TEST_P(EventLoopBatchTest, RunUntilDrainsDueBatchesAndSplitsLaterAppends) {
-  EventLoop loop(GetParam());
+TEST(EventLoopBatchTest, RunUntilDrainsDueBatchesAndSplitsLaterAppends) {
+  EventLoop loop;
   std::vector<int> order;
   loop.schedule_batched(10, 1, [&] { order.push_back(1); });
   loop.schedule_batched(10, 1, [&] { order.push_back(2); });
@@ -270,25 +251,25 @@ TEST_P(EventLoopBatchTest, RunUntilDrainsDueBatchesAndSplitsLaterAppends) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 9}));
 }
 
-TEST_P(EventLoopBatchTest, MaxEventsCountsEveryBatchItem) {
+TEST(EventLoopBatchTest, MaxEventsCountsEveryBatchItem) {
   {
-    EventLoop loop(GetParam());
+    EventLoop loop;
     for (int i = 0; i < 5; ++i) loop.schedule_batched(10, 1, [] {});
     EXPECT_THROW(loop.run(4), InvariantError);
   }
   {
-    EventLoop loop(GetParam());
+    EventLoop loop;
     for (int i = 0; i < 5; ++i) loop.schedule_batched(10, 1, [] {});
     loop.run(5);  // exactly enough
     EXPECT_EQ(loop.executed(), 5u);
   }
 }
 
-TEST_P(EventLoopBatchTest, StressMixedSingletonsAndBatchesKeepInvariants) {
+TEST(EventLoopBatchTest, StressMixedSingletonsAndBatchesKeepInvariants) {
   // Random mix of singleton and batched scheduling: time stays monotonic,
   // items within one (time, key) slot run in append order, and nothing is
   // lost or duplicated.
-  EventLoop loop(GetParam());
+  EventLoop loop;
   std::uint64_t scheduled = 0;
   std::uint64_t ran = 0;
   sim::SimTime last = -1;
@@ -335,8 +316,8 @@ TEST_P(EventLoopBatchTest, StressMixedSingletonsAndBatchesKeepInvariants) {
   EXPECT_EQ(loop.pending(), 0u);
 }
 
-TEST_P(EventLoopTest, NowMonotonicThroughChaos) {
-  EventLoop loop(GetParam());
+TEST(EventLoopTest, NowMonotonicThroughChaos) {
+  EventLoop loop;
   sim::SimTime last = -1;
   bool monotonic = true;
   for (int i = 0; i < 100; ++i) {

@@ -4,8 +4,13 @@
 // server close falls back to a fresh dial), DoT-style handshake cost, the
 // one-shot fallback, the spill codec's transport plane, and the campaign
 // differential proving per-target reply bytes identical between the
-// one-shot baseline and the persistent transport across seeds, shard
-// counts, streamed worlds and disk spills — while dial (SYN) counts drop.
+// one-shot baseline and the persistent transport — while dial (SYN) counts
+// drop — across seeds, disk spills and, in these small worlds, shard
+// counts. Reply bytes hold across shard counts only for targets whose
+// first_hit_time does: the battery starts at the first hit and its query
+// names encode their send time, so forwarders whose first hit depends on
+// shared public-resolver cache warmness legitimately differ by layout in
+// larger worlds (see ExperimentResults::transport_replies).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -437,14 +442,12 @@ ditl::WorldSpec camp_spec(std::uint64_t seed) {
 }
 
 core::ExperimentConfig camp_config(bool persistent, std::size_t shards,
-                                   const std::string& spill_dir = {},
-                                   bool stream = true) {
+                                   const std::string& spill_dir = {}) {
   core::ExperimentConfig config;
   config.followup.transport = scanner::FollowupTransport::kTcp;
   config.persistent_tcp = persistent;
   config.num_shards = shards;
   config.num_threads = shards > 1 ? 2 : 1;
-  config.stream_worlds = stream;
   config.spill_dir = spill_dir;
   return config;
 }
@@ -455,8 +458,8 @@ TEST(TransportCampaign, PersistentRepliesMatchOneShotWhileDialsDrop) {
   std::filesystem::create_directories(spill);
 
   for (const std::uint64_t seed : {7ULL, 42ULL, 99ULL}) {
-    // One-shot baseline (persistent off): serial, and 4 shards with
-    // streamed worlds + disk spill.
+    // One-shot baseline (persistent off): serial, and 4 shards with disk
+    // spill.
     const auto base1 =
         core::run_sharded_experiment(camp_spec(seed), camp_config(false, 1));
     const auto base4 = core::run_sharded_experiment(
@@ -501,15 +504,15 @@ TEST(TransportCampaign, PersistentRepliesMatchOneShotWhileDialsDrop) {
     EXPECT_EQ(sess1.merged.transport.handshake_bytes, 0u);
   }
 
-  // One extra layout on one seed: materialized worlds, no spill — the
-  // differential holds on that axis too.
-  const auto sess4m = core::run_sharded_experiment(
-      camp_spec(42), camp_config(true, 4, {}, /*stream=*/false));
+  // One extra layout on one seed: 4 shards merged in memory, no spill —
+  // the differential holds on that axis too.
+  const auto sess4 =
+      core::run_sharded_experiment(camp_spec(42), camp_config(true, 4));
   const auto sess1ref =
       core::run_sharded_experiment(camp_spec(42), camp_config(true, 1));
-  EXPECT_EQ(core::results_digest(sess4m.merged),
+  EXPECT_EQ(core::results_digest(sess4.merged),
             core::results_digest(sess1ref.merged));
-  EXPECT_EQ(sess4m.merged.transport_replies, sess1ref.merged.transport_replies);
+  EXPECT_EQ(sess4.merged.transport_replies, sess1ref.merged.transport_replies);
 
   std::filesystem::remove_all(spill);
 }

@@ -121,6 +121,10 @@ Options parse(int argc, char** argv) {
       opt.campaign = false;
     } else if (std::strcmp(arg, "--no-spill") == 0) {
       opt.spill = false;
+    } else {
+      // A typo such as --shard=8 must not silently run the default shape.
+      std::fprintf(stderr, "error: unknown flag '%s'\n", arg);
+      std::exit(2);
     }
   }
   return opt;

@@ -11,9 +11,12 @@
 # instrumented, and the TCP reassembly/segment/session paths exercise the
 # pooled-buffer recycling hardest), and UndefinedBehaviorSanitizer over the
 # same labels plus the full unit suite (shift/overflow/alignment UB in the
-# byte codecs) and the bench flag-rejection tests (label "cli"). A final
-# label audit fails the run if a tests/test_*.cpp is unregistered or a
-# registered test carries no label.
+# byte codecs), the golden-table pins (label "golden"), the allocation
+# regression (label "alloc": UBSan does not replace operator new, so its
+# counters hold) and the bench flag-rejection tests (label "cli"). A final
+# label audit fails the run if a tests/test_*.cpp is unregistered, a
+# registered test carries no label, or a label runs in no sanitizer lane
+# without a written exclusion.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]   (default: build-ci)
 # Env:   CD_COVERAGE=1 adds a gcov-instrumented run reporting
@@ -23,6 +26,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PREFIX="${1:-build-ci}"
+
+# The label regex each sanitizer lane runs; the audit below checks that
+# every ctest label appears in one of them or in UNSANITIZED_LABELS.
+TSAN_LABELS="parallel|tcp|transport|eventcore"
+ASAN_LABELS="fuzz|pcap|batched|tcp|transport|campaign|crosscheck|poison"
+UBSAN_LABELS="unit|pcap|batched|fuzz|tcp|transport|campaign|crosscheck|poison|cli|golden|alloc"
+# Labels deliberately run only in the plain build, as "label: reason" lines.
+UNSANITIZED_LABELS=""
 
 echo "=== plain build + ctest ==="
 cmake -B "${PREFIX}" -S . >/dev/null
@@ -37,7 +48,7 @@ echo "=== TSan build + parallel/tcp/transport/eventcore-label ctest ==="
 cmake -B "${PREFIX}-tsan" -S . -DCD_SANITIZE=thread >/dev/null
 cmake --build "${PREFIX}-tsan" -j --target test_core_parallel test_sim_tcp \
   test_sim_event_core test_transport
-ctest --test-dir "${PREFIX}-tsan" -L "parallel|tcp|transport|eventcore" \
+ctest --test-dir "${PREFIX}-tsan" -L "${TSAN_LABELS}" \
   --output-on-failure
 
 echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poison ctest ==="
@@ -56,24 +67,24 @@ cmake --build "${PREFIX}-asan" -j --target \
   test_crosscheck test_attack_poisoning test_transport
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir "${PREFIX}-asan" \
-  -L "fuzz|pcap|batched|tcp|transport|campaign|crosscheck|poison" \
+  -L "${ASAN_LABELS}" \
   --output-on-failure
 
-echo "=== UBSan build + unit/pcap/batched/tcp/transport/campaign/crosscheck/poison/cli ctest ==="
-# The cli label runs bench binaries with malformed flag values: the strict
-# numeric parser must reject them before any campaign starts.
+echo "=== UBSan build + ${UBSAN_LABELS//|//} ctest ==="
+# The cli label runs bench binaries with malformed flag values or unknown
+# flags: the strict parsers must reject them before any campaign starts.
 cmake -B "${PREFIX}-ubsan" -S . -DCD_SANITIZE=undefined >/dev/null
 cmake --build "${PREFIX}-ubsan" -j
-ctest --test-dir "${PREFIX}-ubsan" \
-  -L "unit|pcap|batched|fuzz|tcp|transport|campaign|crosscheck|poison|cli" \
-  --output-on-failure -j
+ctest --test-dir "${PREFIX}-ubsan" -L "${UBSAN_LABELS}" --output-on-failure -j
 
 echo "=== ctest label audit ==="
-# Two invariants keep the sanitizer lanes honest as tests are added:
+# Three invariants keep the sanitizer lanes honest as tests are added:
 # every tests/test_*.cpp must be registered with cd_test (an unregistered
-# file silently never runs), and every registered test must carry at least
+# file silently never runs), every registered test must carry at least
 # one label (ctest -L unions select everything, so a test added with a
-# novel unlisted label still runs in the plain suite and shows up here).
+# novel unlisted label still runs in the plain suite and shows up here),
+# and every label must run in some sanitizer lane or carry a written
+# exclusion in UNSANITIZED_LABELS.
 for f in tests/test_*.cpp; do
   name="$(basename "${f}" .cpp)"
   if ! grep -Eq "cd_test\(${name}( |\))" tests/CMakeLists.txt; then
@@ -91,7 +102,17 @@ if [[ -z "${total}" || "${total}" != "${labeled}" ]]; then
   echo "             (union tried: ${labels})" >&2
   exit 1
 fi
-echo "label audit: all ${total} tests registered and labeled"
+lanes="|${TSAN_LABELS}|${ASAN_LABELS}|${UBSAN_LABELS}|"
+excluded="|$(sed -n 's/:.*//p' <<<"${UNSANITIZED_LABELS}" | paste -sd'|' -)|"
+for label in ${labels//|/ }; do
+  if [[ "${lanes}${excluded}" != *"|${label}|"* ]]; then
+    echo "label audit: label '${label}' runs in no sanitizer lane" >&2
+    echo "             (add it to a lane or to UNSANITIZED_LABELS)" >&2
+    exit 1
+  fi
+done
+echo "label audit: all ${total} tests registered and labeled;" \
+  "every label runs in a sanitizer lane"
 
 if [[ "${CD_COVERAGE:-0}" == "1" ]]; then
   if command -v gcovr >/dev/null 2>&1; then

@@ -1,5 +1,6 @@
 #include "core/experiment.h"
 
+#include <type_traits>
 #include <unordered_map>
 
 #include "ditl/plan.h"
@@ -62,6 +63,10 @@ namespace {
 /// infra block.
 constexpr cd::sim::Asn kPoisonSiteAsnBase = 4'200'000'000u;
 constexpr cd::sim::Asn kPoisonAttackerAsn = 4'200'001'000u;
+
+/// Safety valve for the event loop: a shard that executes more events than
+/// this is runaway (a timer rescheduling itself), not a large campaign.
+constexpr std::uint64_t kMaxEventsPerShard = 400'000'000;
 
 }  // namespace
 
@@ -150,49 +155,35 @@ void Experiment::build_attack_plane() {
   }
 }
 
-void merge_into(ExperimentResults& acc, ExperimentResults part, bool first) {
-  for (auto& [addr, record] : part.records) {
-    const bool inserted = acc.records.emplace(addr, std::move(record)).second;
-    CD_ENSURE(inserted, "merge_results: target present in two shards");
-  }
-  acc.collector_stats += part.collector_stats;
-  acc.qmin_asns.insert(part.qmin_asns.begin(), part.qmin_asns.end());
-  acc.lifetime_excluded_targets.insert(part.lifetime_excluded_targets.begin(),
-                                       part.lifetime_excluded_targets.end());
-  acc.network_stats += part.network_stats;
-  acc.queries_sent += part.queries_sent;
-  acc.followup_batteries += part.followup_batteries;
-  acc.analyst_replays += part.analyst_replays;
-  for (auto& [base, record] : part.crosscheck_records) {
-    const bool inserted =
-        acc.crosscheck_records.emplace(base, std::move(record)).second;
-    CD_ENSURE(inserted, "merge_results: /24 present in two shards");
-  }
-  acc.crosscheck_probes += part.crosscheck_probes;
-  for (auto& [addr, record] : part.poison_records) {
-    const bool inserted =
-        acc.poison_records.emplace(addr, std::move(record)).second;
-    CD_ENSURE(inserted, "merge_results: victim present in two shards");
-  }
-  acc.poison_triggers += part.poison_triggers;
-  acc.poison_forged += part.poison_forged;
-  acc.transport += part.transport;
-  for (const auto& [addr, digest] : part.transport_replies) {
-    const bool inserted = acc.transport_replies.emplace(addr, digest).second;
-    CD_ENSURE(inserted, "merge_results: transport target in two shards");
-  }
+namespace {
 
-  if (first) {
-    acc.capture = std::move(part.capture);
-  } else {
-    CD_ENSURE(part.capture.snaplen == acc.capture.snaplen &&
-                  part.capture.linktype == acc.capture.linktype,
-              "merge_results: mismatched capture parameters");
-    acc.capture.records.insert(
-        acc.capture.records.end(),
-        std::make_move_iterator(part.capture.records.begin()),
-        std::make_move_iterator(part.capture.records.end()));
+/// The merge rule for each member type of ExperimentResults.
+struct Merge {
+  bool first = false;
+
+  template <class T>
+  void operator()(T& acc, T& part) const {
+    if constexpr (requires { acc += part; }) {
+      acc += part;  // u64 and the counter structs
+    } else if constexpr (std::is_same_v<T, cd::pcap::Capture>) {
+      cd::pcap::merge_into(acc, std::move(part), first);
+    } else if constexpr (requires { typename T::mapped_type; }) {
+      for (auto& [key, value] : part) {
+        CD_ENSURE(acc.emplace(key, std::move(value)).second,
+                  "merge_results: " + key.to_string() +
+                      " present in two shards");
+      }
+    } else {
+      acc.merge(part);  // sets: union
+    }
   }
+};
+
+}  // namespace
+
+void merge_into(ExperimentResults& acc, ExperimentResults part, bool first) {
+  Merge merge{first};
+  fields(merge, acc, part);
 }
 
 ExperimentResults merge_results(std::vector<ExperimentResults> parts) {
@@ -215,7 +206,6 @@ const ExperimentResults& Experiment::run() {
     cd::sim::TransportOptions transport;
     transport.persistent = config_.persistent_tcp;
     transport.max_pipeline = config_.max_pipeline;
-    transport.idle_timeout = config_.idle_timeout;
     transport.dot = config_.dot_sessions;
     world_.network->set_transport(transport);
   }
@@ -223,7 +213,6 @@ const ExperimentResults& Experiment::run() {
   cd::pcap::Capture capture;
   std::optional<cd::sim::Network::TapId> capture_tap;
   if (config_.capture) {
-    capture.snaplen = config_.capture->snaplen;
     cd::sim::Network::CaptureOptions options;
     options.include_drops = config_.capture->include_drops;
     if (config_.capture->probes_only) {
@@ -270,7 +259,7 @@ const ExperimentResults& Experiment::run() {
           {t.addr, t.asn, truth.software, truth.os, truth.open});
     }
   }
-  world_.loop.run(config_.max_events);
+  world_.loop.run(kMaxEventsPerShard);
 
   if (capture_tap) {
     world_.network->remove_tap(*capture_tap);

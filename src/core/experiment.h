@@ -10,10 +10,12 @@
 //                                               world->targets);
 #pragma once
 
+#include <concepts>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/classify.h"
@@ -43,7 +45,6 @@ struct CaptureSpec {
   /// whose timing depends on shared-cache warmness, which sharding
   /// legitimately perturbs.
   bool probes_only = false;
-  std::uint32_t snaplen = cd::pcap::kDefaultSnaplen;
 };
 
 struct ExperimentConfig {
@@ -78,14 +79,13 @@ struct ExperimentConfig {
   /// wire-equivalence tests: follow-up *timing* keys off first-hit arrival,
   /// which shared-cache warmness (and therefore sharding) perturbs.
   bool followups = true;
-  /// Safety valve for the event loop (per shard).
-  std::uint64_t max_events = 400'000'000;
 
   // --- persistent transports (sim::TransportOptions) ------------------------
   /// RFC 7766 persistent DNS-over-TCP: connections opened by Host::tcp_query
   /// survive completed exchanges, pipeline up to `max_pipeline` in-flight
   /// framed messages (responses matched by DNS message ID, out-of-order
-  /// supported), and are idle-closed server-side after `idle_timeout`. Off —
+  /// supported), and are idle-closed server-side after
+  /// sim::TransportOptions::idle_timeout (RFC 7766 §6.1). Off —
   /// the default — is the one-shot dial-per-exchange baseline: results and
   /// capture digests are bit-identical to pre-transport builds
   /// (tests/test_transport.cpp pins this).
@@ -93,9 +93,6 @@ struct ExperimentConfig {
   /// In-flight messages per session before tcp_query queues (RFC 7766
   /// §6.2.1.1 pipelining window).
   int max_pipeline = 8;
-  /// Server-side idle window before a persistent session is FIN-closed
-  /// (RFC 7766 §6.1), driven deterministically through the timing wheel.
-  cd::sim::SimTime idle_timeout = 10 * cd::sim::kSecond;
   /// DoT-style sessions: each dial additionally pays a fixed hello
   /// handshake (sim::TransportOptions::dot_handshake_rtts round trips of
   /// real stream bytes) plus a setup delay before the first DNS byte, so
@@ -165,9 +162,43 @@ struct ExperimentResults {
   std::map<cd::net::IpAddr, std::uint64_t> transport_replies;
 };
 
+/// Every member of ExperimentResults, listed once, in CDSP v4 order grouped
+/// by plane. `io` visits each member of one results object — the spill codec
+/// (core/spill.h) walks it to write and to strictly read — or the same member
+/// of several at once: merge_into walks an (accumulator, part) pair. Adding a
+/// plane means adding its members above and one entry per member here;
+/// results_digest (core/parallel.h) is separate, with its own order and
+/// exclusions.
+template <class IO, class... R>
+  requires(std::same_as<std::remove_const_t<R>, ExperimentResults> && ...)
+void fields(IO& io, R&... r) {
+  // Probe plane.
+  io(r.records...);
+  io(r.collector_stats...);
+  io(r.qmin_asns...);
+  io(r.lifetime_excluded_targets...);
+  io(r.network_stats...);
+  io(r.queries_sent...);
+  io(r.followup_batteries...);
+  io(r.analyst_replays...);
+  // Cross-check plane.
+  io(r.crosscheck_probes...);
+  io(r.crosscheck_records...);
+  // Attacker plane.
+  io(r.poison_triggers...);
+  io(r.poison_forged...);
+  io(r.poison_records...);
+  // Transport plane.
+  io(r.transport...);
+  io(r.transport_replies...);
+  // Wire capture.
+  io(r.capture...);
+}
+
 /// Merges per-shard results in shard order: counters are summed, evidence
-/// sets are unioned, and target records — whose key sets are disjoint
-/// because shards partition targets by AS — are inserted shard by shard.
+/// sets are unioned, and the keyed maps (target, /24, victim and transport
+/// reply) — whose key sets are disjoint because shards partition targets by
+/// AS — are inserted shard by shard; a key present in two shards throws.
 [[nodiscard]] ExperimentResults merge_results(
     std::vector<ExperimentResults> parts);
 

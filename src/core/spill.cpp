@@ -1,5 +1,11 @@
 #include "core/spill.h"
 
+#include <algorithm>
+#include <concepts>
+#include <optional>
+#include <string_view>
+#include <type_traits>
+
 #include "net/packet.h"
 #include "util/bytes.h"
 #include "util/pcap.h"
@@ -9,338 +15,289 @@ namespace cd::core {
 namespace {
 
 using cd::net::IpAddr;
-using cd::net::IpFamily;
-using cd::net::U128;
-using cd::scanner::SourceCategory;
-using cd::scanner::TargetRecord;
 
-void put_addr(cd::ByteWriter& w, const IpAddr& a) {
-  w.u8(a.is_v6() ? 6 : 4);
-  w.u64le(a.bits().hi);
-  w.u64le(a.bits().lo);
+template <class R, class T>
+concept Is = std::same_as<std::remove_const_t<R>, T>;
+
+// --- field walks: the CDSP v4 layout of each record type ---------------------
+//
+// io(x...) encodes each member by its type (see Writer::put). io.key marks
+// the member a keyed map indexes the record by; io.u32 marks 32-bit members
+// stored at their own width (other 32-bit integers -- ASNs -- travel as u64
+// and are range-checked on read); io.flags packs bools, and the presence of
+// an optional, into one byte.
+
+template <class IO, Is<cd::scanner::TargetRecord> R>
+void fields(IO& io, R& r) {
+  io.key(r.target);
+  io(r.asn, r.sources_hit, r.categories_hit, r.first_hit_time,
+     r.first_hit_source);
+  io.flags(r.direct_seen, r.forwarded_seen, r.client_in_target_as, r.open_hit,
+           r.tcp_hit, r.tcp_syn);
+  io(r.forwarders_seen, r.ports_v4, r.ports_v6, r.tcp_syn);
 }
 
-IpAddr get_addr(cd::ByteReader& r) {
-  const std::uint8_t family = r.u8();
-  if (family != 4 && family != 6) r.fail("bad address family");
-  const std::uint64_t hi = r.u64le();
-  const std::uint64_t lo = r.u64le();
-  return IpAddr::from_bits(family == 6 ? IpFamily::kV6 : IpFamily::kV4,
-                           U128{hi, lo});
+template <class IO, Is<cd::scanner::PrefixRecord> R>
+void fields(IO& io, R& r) {
+  io.key(r.prefix);
+  io(r.asn, r.hits);
+  io.flags(r.direct_seen, r.forwarded_seen);
+  io(r.responding);
 }
 
-void put_blob(cd::ByteWriter& w, std::span<const std::uint8_t> bytes) {
-  w.u64le(bytes.size());
-  w.bytes(bytes);
+template <class IO, Is<cd::attack::PoisonRecord> R>
+void fields(IO& io, R& r) {
+  io.key(r.victim);
+  io(r.asn, r.software, r.os);
+  io.flags(r.open, r.reachable, r.success);
+  io.u32(r.rounds, r.success_round, r.poisoned_ttl);
+  io(r.triggers, r.forged, r.observed_ports);
 }
 
-std::vector<std::uint8_t> get_blob(cd::ByteReader& r) {
-  const std::uint64_t n = r.u64le();
-  if (n > r.remaining()) r.fail("truncated blob");
-  const auto s = r.bytes(static_cast<std::size_t>(n));
-  return {s.begin(), s.end()};
+template <class IO, Is<cd::scanner::CollectorStats> R>
+void fields(IO& io, R& s) {
+  io(s.entries_seen, s.foreign, s.excluded_lifetime, s.qmin_partial);
 }
 
-void put_record(cd::ByteWriter& w, const TargetRecord& rec) {
-  put_addr(w, rec.target);
-  w.u64le(rec.asn);
-  w.u64le(rec.sources_hit.size());
-  for (const IpAddr& src : rec.sources_hit) put_addr(w, src);
-  w.u64le(rec.categories_hit.size());
-  for (const SourceCategory cat : rec.categories_hit) {
-    w.u8(static_cast<std::uint8_t>(cat));
+template <class IO, Is<cd::sim::NetworkStats> R>
+void fields(IO& io, R& s) {
+  io(s.sent, s.delivered, s.delivery_batches, s.dropped_osav, s.dropped_dsav,
+     s.dropped_martian, s.dropped_urpf, s.dropped_unrouted, s.dropped_no_host,
+     s.dropped_stack);
+}
+
+template <class IO, Is<cd::sim::TransportCounters> R>
+void fields(IO& io, R& s) {
+  io(s.dials, s.accepts, s.session_reuses, s.session_messages, s.idle_closes,
+     s.handshake_bytes);
+}
+
+// Capture records travel raw (time/annotation/bytes), not as a rendered
+// pcap: merge re-canonicalizes, so rendering per shard would be waste.
+template <class IO, Is<cd::pcap::PcapRecord> R>
+void fields(IO& io, R& r) {
+  io(r.time_us);
+  io.u32(r.orig_len);
+  io(r.annotation, r.bytes);
+}
+
+template <class IO, Is<cd::pcap::Capture> R>
+void fields(IO& io, R& c) {
+  io.u32(c.snaplen, c.linktype);
+  io(c.records);
+}
+
+// --- the two directions ------------------------------------------------------
+
+constexpr int enum_count(cd::scanner::SourceCategory) {
+  return cd::scanner::kSourceCategoryCount;
+}
+constexpr int enum_count(cd::resolver::DnsSoftware) {
+  return cd::resolver::kDnsSoftwareCount;
+}
+constexpr int enum_count(cd::sim::OsId) { return cd::sim::kOsIdCount; }
+
+/// A lower bound on the bytes one encoded T occupies (bounds element counts
+/// on read).
+template <class T>
+constexpr std::size_t min_size() {
+  if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) return sizeof(T);
+  return 1;
+}
+
+class Writer {
+ public:
+  explicit Writer(std::vector<std::uint8_t>& out) : w_(out) {}
+
+  template <class... T>
+  void operator()(const T&... x) {
+    (put(x), ...);
   }
-  w.u64le(static_cast<std::uint64_t>(rec.first_hit_time));
-  put_addr(w, rec.first_hit_source);
-  w.u8(static_cast<std::uint8_t>(
-      (rec.direct_seen ? 1 : 0) | (rec.forwarded_seen ? 2 : 0) |
-      (rec.client_in_target_as ? 4 : 0) | (rec.open_hit ? 8 : 0) |
-      (rec.tcp_hit ? 16 : 0) | (rec.tcp_syn ? 32 : 0)));
-  w.u64le(rec.forwarders_seen.size());
-  for (const IpAddr& fwd : rec.forwarders_seen) put_addr(w, fwd);
-  w.u64le(rec.ports_v4.size());
-  for (const std::uint16_t p : rec.ports_v4) w.u16le(p);
-  w.u64le(rec.ports_v6.size());
-  for (const std::uint16_t p : rec.ports_v6) w.u16le(p);
-  if (rec.tcp_syn) put_blob(w, rec.tcp_syn->serialize());
-}
-
-std::uint32_t get_asn(cd::ByteReader& r) {
-  const std::uint64_t asn = r.u64le();
-  if (asn > UINT32_MAX) r.fail("ASN out of range");
-  return static_cast<std::uint32_t>(asn);
-}
-
-TargetRecord get_record(cd::ByteReader& r) {
-  TargetRecord rec;
-  rec.target = get_addr(r);
-  rec.asn = static_cast<cd::sim::Asn>(get_asn(r));
-  const std::uint64_t n_sources = r.u64le();
-  for (std::uint64_t i = 0; i < n_sources; ++i) {
-    rec.sources_hit.insert(get_addr(r));
+  void key(const IpAddr& a) { put(a); }
+  template <std::same_as<std::uint32_t>... T>
+  void u32(const T&... x) {
+    (w_.u32le(x), ...);
   }
-  const std::uint64_t n_cats = r.u64le();
-  for (std::uint64_t i = 0; i < n_cats; ++i) {
-    const std::uint8_t cat = r.u8();
-    if (cat >= cd::scanner::kSourceCategoryCount) {
-      r.fail("bad source category");
+  template <class... T>
+  void flags(const T&... x) {
+    unsigned byte = 0, bit = 1;
+    ((byte |= present(x) ? bit : 0, bit <<= 1), ...);
+    w_.u8(static_cast<std::uint8_t>(byte));
+  }
+
+ private:
+  static bool present(bool b) { return b; }
+  template <class T>
+  static bool present(const std::optional<T>& o) {
+    return o.has_value();
+  }
+
+  template <class T>
+  void put(const T& x) {
+    static_assert(!std::is_same_v<T, bool>, "bools travel in io.flags");
+    if constexpr (std::is_enum_v<T> || std::is_same_v<T, std::uint8_t>) {
+      w_.u8(static_cast<std::uint8_t>(x));
+    } else if constexpr (std::is_same_v<T, std::uint16_t>) {
+      w_.u16le(x);
+    } else if constexpr (std::is_integral_v<T>) {
+      w_.u64le(static_cast<std::uint64_t>(x));
+    } else if constexpr (std::is_same_v<T, IpAddr>) {
+      w_.u8(x.is_v6() ? 6 : 4);
+      w_.u64le(x.bits().hi);
+      w_.u64le(x.bits().lo);
+    } else if constexpr (std::is_same_v<T, cd::net::Packet>) {
+      put(x.serialize());  // a packet travels as its wire bytes
+    } else if constexpr (requires { x.has_value(); }) {
+      if (x) put(*x);  // presence travels in a flags byte
+    } else if constexpr (requires { typename T::mapped_type; }) {
+      // Keyed by address and emitted in key order, whatever the container's
+      // iteration order, so the encoding is a function of the value.
+      std::vector<const typename T::value_type*> entries;
+      entries.reserve(x.size());
+      for (const auto& entry : x) entries.push_back(&entry);
+      std::sort(entries.begin(), entries.end(),
+                [](auto* a, auto* b) { return a->first < b->first; });
+      w_.u64le(entries.size());
+      for (const auto* entry : entries) {
+        // A record's walk carries its own key (io.key).
+        if constexpr (!std::is_class_v<typename T::mapped_type>) {
+          put(entry->first);
+        }
+        put(entry->second);
+      }
+    } else if constexpr (requires { x.size(); x.begin(); }) {
+      w_.u64le(x.size());
+      for (const auto& element : x) put(element);
+    } else {
+      fields(*this, x);
     }
-    rec.categories_hit.insert(static_cast<SourceCategory>(cat));
   }
-  rec.first_hit_time = static_cast<cd::sim::SimTime>(r.u64le());
-  rec.first_hit_source = get_addr(r);
-  const std::uint8_t flags = r.u8();
-  if ((flags & ~std::uint8_t{63}) != 0) r.fail("unknown record flags");
-  rec.direct_seen = (flags & 1) != 0;
-  rec.forwarded_seen = (flags & 2) != 0;
-  rec.client_in_target_as = (flags & 4) != 0;
-  rec.open_hit = (flags & 8) != 0;
-  rec.tcp_hit = (flags & 16) != 0;
-  const std::uint64_t n_fwd = r.u64le();
-  for (std::uint64_t i = 0; i < n_fwd; ++i) {
-    rec.forwarders_seen.insert(get_addr(r));
+
+  cd::ByteWriter w_;
+};
+
+/// Strict inverse of Writer: every value the writer cannot emit throws.
+/// Reads always fill freshly constructed, empty values.
+class Reader {
+ public:
+  explicit Reader(std::span<const std::uint8_t> bytes) : r_(bytes, "spill") {}
+
+  template <class... T>
+  void operator()(T&... x) {
+    (get(x), ...);
   }
-  const std::uint64_t n_p4 = r.u64le();
-  for (std::uint64_t i = 0; i < n_p4; ++i) rec.ports_v4.push_back(r.u16le());
-  const std::uint64_t n_p6 = r.u64le();
-  for (std::uint64_t i = 0; i < n_p6; ++i) rec.ports_v6.push_back(r.u16le());
-  if ((flags & 32) != 0) {
-    rec.tcp_syn = cd::net::Packet::parse(get_blob(r));
+  void key(IpAddr& a) {
+    get(a);
+    key_ = a;
   }
-  return rec;
-}
+  template <std::same_as<std::uint32_t>... T>
+  void u32(T&... x) {
+    ((x = r_.u32le()), ...);
+  }
+  template <class... T>
+  void flags(T&... x) {
+    const unsigned byte = r_.u8();
+    if ((byte >> sizeof...(T)) != 0) r_.fail("unknown flag bits");
+    unsigned bit = 1;
+    ((set(x, (byte & bit) != 0), bit <<= 1), ...);
+  }
+
+  [[noreturn]] void fail(std::string_view msg) const { r_.fail(msg); }
+  [[nodiscard]] bool done() const { return r_.done(); }
+
+ private:
+  static void set(bool& b, bool v) { b = v; }
+  template <class T>
+  static void set(std::optional<T>& o, bool v) {
+    if (v) o.emplace();  // placeholder: the payload follows later in the walk
+  }
+
+  template <class T>
+  std::uint64_t count() {
+    const std::uint64_t n = r_.u64le();
+    if (n > r_.remaining() / min_size<T>()) r_.fail("count exceeds the file");
+    return n;
+  }
+
+  template <class T>
+  void get(T& x) {
+    static_assert(!std::is_same_v<T, bool>, "bools travel in io.flags");
+    if constexpr (std::is_enum_v<T>) {
+      const std::uint8_t v = r_.u8();
+      if (v >= enum_count(T{})) r_.fail("enum value out of range");
+      x = static_cast<T>(v);
+    } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+      x = r_.u8();
+    } else if constexpr (std::is_same_v<T, std::uint16_t>) {
+      x = r_.u16le();
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+      const std::uint64_t v = r_.u64le();
+      if (v > UINT32_MAX) r_.fail("32-bit value out of range");
+      x = static_cast<std::uint32_t>(v);
+    } else if constexpr (std::is_integral_v<T>) {
+      x = static_cast<T>(r_.u64le());
+    } else if constexpr (std::is_same_v<T, IpAddr>) {
+      const std::uint8_t family = r_.u8();
+      if (family != 4 && family != 6) r_.fail("bad address family");
+      const std::uint64_t hi = r_.u64le();
+      const std::uint64_t lo = r_.u64le();
+      x = IpAddr::from_bits(
+          family == 6 ? cd::net::IpFamily::kV6 : cd::net::IpFamily::kV4,
+          cd::net::U128{hi, lo});
+    } else if constexpr (std::is_same_v<T, cd::net::Packet>) {
+      std::vector<std::uint8_t> wire;
+      get(wire);
+      x = cd::net::Packet::parse(wire);
+      // The writer emits serialize() output; other bytes that parse (a
+      // corrupted checksum, which parse ignores) are not a spill's.
+      if (x.serialize() != wire) r_.fail("non-canonical packet bytes");
+    } else if constexpr (requires { x.has_value(); }) {
+      if (x) get(*x);
+    } else if constexpr (requires { typename T::mapped_type; }) {
+      const auto n = count<IpAddr>();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        typename T::mapped_type v{};
+        if constexpr (!std::is_class_v<decltype(v)>) get(key_);
+        get(v);  // a record's walk reads its own key (io.key)
+        if (!x.emplace(key_, std::move(v)).second) r_.fail("duplicate map key");
+      }
+    } else if constexpr (requires { typename T::key_type; }) {  // a set
+      const auto n = count<typename T::value_type>();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        typename T::value_type v{};
+        get(v);
+        if (!x.insert(v).second) r_.fail("duplicate set element");
+      }
+    } else if constexpr (requires { x.emplace_back(); }) {
+      const auto n = count<typename T::value_type>();
+      for (std::uint64_t i = 0; i < n; ++i) get(x.emplace_back());
+    } else {
+      fields(*this, x);
+    }
+  }
+
+  cd::ByteReader r_;
+  IpAddr key_;  // the key of the map entry being read
+};
 
 }  // namespace
 
 std::vector<std::uint8_t> serialize_results(const ExperimentResults& results) {
   std::vector<std::uint8_t> out;
-  cd::ByteWriter w(out);
-  w.u32le(kSpillMagic);
-  w.u32le(kSpillVersion);
-
-  w.u64le(results.records.size());
-  for (const auto& [addr, rec] : results.records) put_record(w, rec);
-
-  w.u64le(results.collector_stats.entries_seen);
-  w.u64le(results.collector_stats.foreign);
-  w.u64le(results.collector_stats.excluded_lifetime);
-  w.u64le(results.collector_stats.qmin_partial);
-
-  w.u64le(results.qmin_asns.size());
-  for (const cd::sim::Asn asn : results.qmin_asns) w.u64le(asn);
-  w.u64le(results.lifetime_excluded_targets.size());
-  for (const IpAddr& addr : results.lifetime_excluded_targets) {
-    put_addr(w, addr);
-  }
-
-  const cd::sim::NetworkStats& ns = results.network_stats;
-  w.u64le(ns.sent);
-  w.u64le(ns.delivered);
-  w.u64le(ns.delivery_batches);
-  w.u64le(ns.dropped_osav);
-  w.u64le(ns.dropped_dsav);
-  w.u64le(ns.dropped_martian);
-  w.u64le(ns.dropped_urpf);
-  w.u64le(ns.dropped_unrouted);
-  w.u64le(ns.dropped_no_host);
-  w.u64le(ns.dropped_stack);
-
-  w.u64le(results.queries_sent);
-  w.u64le(results.followup_batteries);
-  w.u64le(results.analyst_replays);
-
-  // Cross-check plane (v2).
-  w.u64le(results.crosscheck_probes);
-  w.u64le(results.crosscheck_records.size());
-  for (const auto& [base, rec] : results.crosscheck_records) {
-    put_addr(w, base);
-    w.u64le(rec.asn);
-    w.u64le(rec.hits);
-    w.u8(static_cast<std::uint8_t>((rec.direct_seen ? 1 : 0) |
-                                   (rec.forwarded_seen ? 2 : 0)));
-    w.u64le(rec.responding.size());
-    for (const IpAddr& addr : rec.responding) put_addr(w, addr);
-  }
-
-  // Attacker plane (v3).
-  w.u64le(results.poison_triggers);
-  w.u64le(results.poison_forged);
-  w.u64le(results.poison_records.size());
-  for (const auto& [addr, rec] : results.poison_records) {
-    put_addr(w, rec.victim);
-    w.u64le(rec.asn);
-    w.u8(static_cast<std::uint8_t>(rec.software));
-    w.u8(static_cast<std::uint8_t>(rec.os));
-    w.u8(static_cast<std::uint8_t>((rec.open ? 1 : 0) |
-                                   (rec.reachable ? 2 : 0) |
-                                   (rec.success ? 4 : 0)));
-    w.u32le(rec.rounds);
-    w.u32le(rec.success_round);
-    w.u32le(rec.poisoned_ttl);
-    w.u64le(rec.triggers);
-    w.u64le(rec.forged);
-    w.u64le(rec.observed_ports.size());
-    for (const std::uint16_t p : rec.observed_ports) w.u16le(p);
-  }
-
-  // Transport plane (v4).
-  const cd::sim::TransportCounters& tc = results.transport;
-  w.u64le(tc.dials);
-  w.u64le(tc.accepts);
-  w.u64le(tc.session_reuses);
-  w.u64le(tc.session_messages);
-  w.u64le(tc.idle_closes);
-  w.u64le(tc.handshake_bytes);
-  w.u64le(results.transport_replies.size());
-  for (const auto& [addr, digest] : results.transport_replies) {
-    put_addr(w, addr);
-    w.u64le(digest);
-  }
-
-  // Capture records travel raw (time/annotation/bytes), not as a rendered
-  // pcap: merge re-canonicalizes, so rendering per shard would be waste.
-  w.u32le(results.capture.snaplen);
-  w.u32le(results.capture.linktype);
-  w.u64le(results.capture.records.size());
-  for (const cd::pcap::PcapRecord& rec : results.capture.records) {
-    w.u64le(static_cast<std::uint64_t>(rec.time_us));
-    w.u32le(rec.orig_len);
-    w.u8(rec.annotation);
-    put_blob(w, rec.bytes);
-  }
+  Writer w(out);
+  w.u32(kSpillMagic, kSpillVersion);
+  fields(w, results);
   return out;
 }
 
 ExperimentResults parse_results(std::span<const std::uint8_t> bytes) {
-  cd::ByteReader r(bytes, "spill");
-  if (r.u32le() != kSpillMagic) r.fail("bad magic");
-  if (r.u32le() != kSpillVersion) r.fail("unsupported version");
-
+  Reader r(bytes);
+  std::uint32_t magic = 0, version = 0;
+  r.u32(magic, version);
+  if (magic != kSpillMagic) r.fail("bad magic");
+  if (version != kSpillVersion) r.fail("unsupported version");
   ExperimentResults results;
-  const std::uint64_t n_records = r.u64le();
-  for (std::uint64_t i = 0; i < n_records; ++i) {
-    TargetRecord rec = get_record(r);
-    const IpAddr addr = rec.target;
-    if (!results.records.emplace(addr, std::move(rec)).second) {
-      r.fail("duplicate target record");
-    }
-  }
-
-  results.collector_stats.entries_seen = r.u64le();
-  results.collector_stats.foreign = r.u64le();
-  results.collector_stats.excluded_lifetime = r.u64le();
-  results.collector_stats.qmin_partial = r.u64le();
-
-  const std::uint64_t n_qmin = r.u64le();
-  for (std::uint64_t i = 0; i < n_qmin; ++i) {
-    results.qmin_asns.insert(static_cast<cd::sim::Asn>(get_asn(r)));
-  }
-  const std::uint64_t n_excl = r.u64le();
-  for (std::uint64_t i = 0; i < n_excl; ++i) {
-    results.lifetime_excluded_targets.insert(get_addr(r));
-  }
-
-  cd::sim::NetworkStats& ns = results.network_stats;
-  ns.sent = r.u64le();
-  ns.delivered = r.u64le();
-  ns.delivery_batches = r.u64le();
-  ns.dropped_osav = r.u64le();
-  ns.dropped_dsav = r.u64le();
-  ns.dropped_martian = r.u64le();
-  ns.dropped_urpf = r.u64le();
-  ns.dropped_unrouted = r.u64le();
-  ns.dropped_no_host = r.u64le();
-  ns.dropped_stack = r.u64le();
-
-  results.queries_sent = r.u64le();
-  results.followup_batteries = r.u64le();
-  results.analyst_replays = r.u64le();
-
-  results.crosscheck_probes = r.u64le();
-  const std::uint64_t n_prefixes = r.u64le();
-  for (std::uint64_t i = 0; i < n_prefixes; ++i) {
-    cd::scanner::PrefixRecord rec;
-    rec.prefix = get_addr(r);
-    rec.asn = static_cast<cd::sim::Asn>(get_asn(r));
-    rec.hits = r.u64le();
-    const std::uint8_t flags = r.u8();
-    if ((flags & ~std::uint8_t{3}) != 0) r.fail("unknown prefix flags");
-    rec.direct_seen = (flags & 1) != 0;
-    rec.forwarded_seen = (flags & 2) != 0;
-    const std::uint64_t n_resp = r.u64le();
-    for (std::uint64_t j = 0; j < n_resp; ++j) {
-      rec.responding.insert(get_addr(r));
-    }
-    const IpAddr base = rec.prefix;
-    if (!results.crosscheck_records.emplace(base, std::move(rec)).second) {
-      r.fail("duplicate prefix record");
-    }
-  }
-
-  results.poison_triggers = r.u64le();
-  results.poison_forged = r.u64le();
-  const std::uint64_t n_victims = r.u64le();
-  for (std::uint64_t i = 0; i < n_victims; ++i) {
-    cd::attack::PoisonRecord rec;
-    rec.victim = get_addr(r);
-    rec.asn = static_cast<cd::sim::Asn>(get_asn(r));
-    const std::uint8_t software = r.u8();
-    if (software >= cd::resolver::kDnsSoftwareCount) {
-      r.fail("bad victim software");
-    }
-    rec.software = static_cast<cd::resolver::DnsSoftware>(software);
-    const std::uint8_t os = r.u8();
-    if (os >= cd::sim::kOsIdCount) r.fail("bad victim OS");
-    rec.os = static_cast<cd::sim::OsId>(os);
-    const std::uint8_t flags = r.u8();
-    if ((flags & ~std::uint8_t{7}) != 0) r.fail("unknown victim flags");
-    rec.open = (flags & 1) != 0;
-    rec.reachable = (flags & 2) != 0;
-    rec.success = (flags & 4) != 0;
-    rec.rounds = r.u32le();
-    rec.success_round = r.u32le();
-    rec.poisoned_ttl = r.u32le();
-    rec.triggers = r.u64le();
-    rec.forged = r.u64le();
-    const std::uint64_t n_ports = r.u64le();
-    if (n_ports * 2 > r.remaining()) r.fail("truncated port list");
-    for (std::uint64_t j = 0; j < n_ports; ++j) {
-      rec.observed_ports.push_back(r.u16le());
-    }
-    const IpAddr victim = rec.victim;
-    if (!results.poison_records.emplace(victim, std::move(rec)).second) {
-      r.fail("duplicate victim record");
-    }
-  }
-
-  cd::sim::TransportCounters& tc = results.transport;
-  tc.dials = r.u64le();
-  tc.accepts = r.u64le();
-  tc.session_reuses = r.u64le();
-  tc.session_messages = r.u64le();
-  tc.idle_closes = r.u64le();
-  tc.handshake_bytes = r.u64le();
-  const std::uint64_t n_digests = r.u64le();
-  for (std::uint64_t i = 0; i < n_digests; ++i) {
-    const IpAddr addr = get_addr(r);
-    const std::uint64_t digest = r.u64le();
-    if (!results.transport_replies.emplace(addr, digest).second) {
-      r.fail("duplicate transport digest");
-    }
-  }
-
-  results.capture.snaplen = r.u32le();
-  results.capture.linktype = r.u32le();
-  const std::uint64_t n_pkts = r.u64le();
-  for (std::uint64_t i = 0; i < n_pkts; ++i) {
-    cd::pcap::PcapRecord rec;
-    rec.time_us = static_cast<std::int64_t>(r.u64le());
-    rec.orig_len = r.u32le();
-    rec.annotation = r.u8();
-    rec.bytes = get_blob(r);
-    results.capture.records.push_back(std::move(rec));
-  }
-
+  fields(r, results);
   if (!r.done()) r.fail("trailing bytes");
   return results;
 }

@@ -8,23 +8,26 @@
 // results_digest or capture_digest: the merged evidence is bit-identical to
 // the all-in-memory path (tests/test_campaign_stream.cpp).
 //
-// v2 appends the cross-check plane (per-/24 prefix records and the
-// probes-sent counter, scanner/crosscheck.h) after the scanner counters.
-// v3 appends the attacker plane (per-victim poisoning records and the
-// trigger/forgery counters, attack/poison.h) after the cross-check plane.
-// v4 appends the transport plane (connection-lifecycle counters and the
-// per-target reply digests, sim/network.h + core/experiment.h) after the
-// attacker plane. Older files no longer parse — spills are transient per-run artifacts, not
-// an archival format, so there is no cross-version reader.
+// The layout is described once, as field walks: the top-level list of
+// ExperimentResults members (core/experiment.h, shared with merge_into) and
+// one walk per record and counter type (core/spill.cpp). A writer and a
+// strict reader run the same walks and pick each member's encoding from its
+// type, so the two directions cannot drift apart. Target records are
+// written in address order, making the bytes a function of the value:
+// serialize(parse(b)) == b for every file the writer emits. A new plane adds
+// its members and their walk entries; appending them changes the format, so
+// bump kSpillVersion. Spills are transient per-run artifacts, not an
+// archival format, so there is no cross-version reader.
 //
 // Safety property: *every* strict byte prefix of a valid spill file fails to
 // parse with cd::ParseError, and so does trailing garbage (the reader
 // requires exact consumption). A truncated spill can therefore never merge
 // silently as partial results. The same strictness covers in-place
-// corruption: enums, flag bytes and range-limited fields reject values the
-// writer can never emit, so a flipped bit either throws or produces a
-// decoded value whose re-serialization no longer matches the file
-// (tests/test_campaign_stream.cpp's bit-flip fuzz).
+// corruption: enums, flag bytes, range-limited fields, element counts,
+// duplicate map keys or set elements and non-canonical packet bytes reject
+// values the writer can never emit, so a flipped bit either throws or
+// produces a decoded value whose re-serialization no longer matches the file
+// (tests/test_campaign_stream.cpp flips every bit of a fixture).
 #pragma once
 
 #include <cstdint>
@@ -44,7 +47,8 @@ inline constexpr std::uint32_t kSpillVersion = 4;
     const ExperimentResults& results);
 
 /// Strict inverse of serialize_results(): throws cd::ParseError on bad
-/// magic/version, any truncation, or trailing bytes.
+/// magic/version, any truncation, any value the writer cannot emit, or
+/// trailing bytes.
 [[nodiscard]] ExperimentResults parse_results(
     std::span<const std::uint8_t> bytes);
 

@@ -171,22 +171,23 @@ Capture merge_captures(std::vector<Capture> parts) {
   Capture merged;
   bool first = true;
   for (Capture& part : parts) {
-    if (first) {
-      merged.snaplen = part.snaplen;
-      merged.linktype = part.linktype;
-      first = false;
-    } else {
-      CD_ENSURE(part.snaplen == merged.snaplen,
-                "merge_captures: snaplen mismatch between shards");
-      CD_ENSURE(part.linktype == merged.linktype,
-                "merge_captures: linktype mismatch between shards");
-    }
-    merged.records.insert(merged.records.end(),
-                          std::make_move_iterator(part.records.begin()),
-                          std::make_move_iterator(part.records.end()));
+    merge_into(merged, std::move(part), first);
+    first = false;
   }
   canonicalize(merged);
   return merged;
+}
+
+void merge_into(Capture& acc, Capture part, bool first) {
+  if (first) {
+    acc = std::move(part);
+    return;
+  }
+  CD_ENSURE(part.snaplen == acc.snaplen && part.linktype == acc.linktype,
+            "merge_captures: snaplen/linktype mismatch between shards");
+  acc.records.insert(acc.records.end(),
+                     std::make_move_iterator(part.records.begin()),
+                     std::make_move_iterator(part.records.end()));
 }
 
 void write_file(const std::string& path,

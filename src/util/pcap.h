@@ -88,6 +88,11 @@ void canonicalize(Capture& capture);
 /// canonical capture. All parts must agree on snaplen and linktype.
 [[nodiscard]] Capture merge_captures(std::vector<Capture> parts);
 
+/// One step of merge_captures, without the final canonicalize: the `first`
+/// part donates snaplen and linktype, every later one must agree, and its
+/// records are appended in order.
+void merge_into(Capture& acc, Capture part, bool first);
+
 // --- file I/O (the one subsystem that touches the filesystem) ---------------
 
 /// Writes `bytes` to `path`, throwing cd::Error on failure.

@@ -2,15 +2,15 @@
 // idle-timeout edge semantics (an exchange landing exactly on the idle
 // deadline loses to the close; one tick earlier survives; reuse after a
 // server close falls back to a fresh dial), DoT-style handshake cost, the
-// one-shot fallback, the spill codec's transport plane, and the campaign
-// differential proving per-target reply bytes identical between the
-// one-shot baseline and the persistent transport — while dial (SYN) counts
-// drop — across seeds, disk spills and, in these small worlds, shard
-// counts. Reply bytes hold across shard counts only for targets whose
-// first_hit_time does: the battery starts at the first hit and its query
-// names encode their send time, so forwarders whose first hit depends on
-// shared public-resolver cache warmness legitimately differ by layout in
-// larger worlds (see ExperimentResults::transport_replies).
+// one-shot fallback, and the campaign differential proving per-target reply
+// bytes identical between the one-shot baseline and the persistent
+// transport — while dial (SYN) counts drop — across seeds, disk spills and,
+// in these small worlds, shard counts. Reply bytes hold across shard counts
+// only for targets whose first_hit_time does: the battery starts at the
+// first hit and its query names encode their send time, so forwarders whose
+// first hit depends on shared public-resolver cache warmness legitimately
+// differ by layout in larger worlds (see
+// ExperimentResults::transport_replies).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/parallel.h"
-#include "core/spill.h"
 #include "ditl/world.h"
 #include "net/packet.h"
 #include "scanner/followup.h"
@@ -406,30 +405,6 @@ TEST(TransportFallback, TcpQueryWithoutPersistenceIsExactlyOneShot) {
   EXPECT_EQ(total.idle_closes, 0u);
   EXPECT_EQ(total.handshake_bytes, 0u);
   EXPECT_EQ(f.network.open_tcp_connections(), 0u);
-}
-
-// --- spill codec: transport plane -------------------------------------------
-
-TEST(TransportSpill, RoundTripPreservesCountersAndReplyDigests) {
-  core::ExperimentResults results;
-  results.transport.dials = 7;
-  results.transport.accepts = 6;
-  results.transport.session_reuses = 41;
-  results.transport.session_messages = 48;
-  results.transport.idle_closes = 5;
-  results.transport.handshake_bytes = 896;
-  results.transport_replies[IpAddr::must_parse("10.1.2.3")] = 0xDEADBEEFull;
-  results.transport_replies[IpAddr::must_parse("fd00::5")] = 0x1234567890ull;
-
-  const std::vector<std::uint8_t> bytes = core::serialize_results(results);
-  const core::ExperimentResults parsed = core::parse_results(bytes);
-  EXPECT_TRUE(parsed.transport == results.transport);
-  EXPECT_EQ(parsed.transport_replies, results.transport_replies);
-
-  // Strictness extends through the new section: truncating inside it must
-  // throw, never parse as partial results.
-  const std::span<const std::uint8_t> half(bytes.data(), bytes.size() / 2);
-  EXPECT_THROW((void)core::parse_results(half), cd::ParseError);
 }
 
 // --- campaign differential ---------------------------------------------------

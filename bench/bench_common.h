@@ -56,9 +56,10 @@ struct RunOptions {
 
 /// Parses --scale=X --seed=N --threads=N --shards=N (unknown args ignored,
 /// so benches keep working under tooling that appends its own flags;
-/// malformed values exit via parse_number). --scale must be positive and
-/// --threads/--shards at least 1. --threads alone implies one shard per
-/// thread.
+/// malformed values exit via parse_number). --scale must be positive (and
+/// large enough to leave at least one AS: run_standard_experiment exits 2
+/// otherwise) and --threads/--shards at least 1. --threads alone implies one
+/// shard per thread.
 inline RunOptions parse_run_options(int argc, char** argv) {
   RunOptions opt;
   bool shards_given = false;
@@ -100,6 +101,11 @@ inline Run run_standard_experiment(const RunOptions& options) {
 
   cd::ditl::WorldSpec spec = cd::ditl::bench_world_spec();
   spec.n_asns = static_cast<int>(spec.n_asns * options.scale);
+  if (spec.n_asns < 1) {
+    std::fprintf(stderr, "error: --scale=%g leaves the world with no ASes\n",
+                 options.scale);
+    std::exit(2);
+  }
   spec.wildcard_answers = options.wildcard_answers;
   spec.seed = options.seed;
 
@@ -146,7 +152,7 @@ inline Run run_standard_experiment(const RunOptions& options) {
 
   std::printf(
       "# world: %zu ASes, %zu resolvers, %zu targets (gen %lldms)\n"
-      "# campaign: %llu probes, %llu auth log entries (run %lldms), "
+      "# campaign: %llu probes, %llu auth queries observed (run %lldms), "
       "digest %016llx\n\n",
       run.world->topology.as_count(), run.world->resolvers.size(),
       run.world->targets.size(), static_cast<long long>(ms(t0, t1)),

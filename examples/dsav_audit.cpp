@@ -105,7 +105,7 @@ int main() {
   scanner::QnameCodec codec(dns::DnsName::must_parse("audit.example"),
                             "audit");
   scanner::SourceSelector selector(topology, {}, {}, Rng(4));
-  scanner::Collector collector(codec, {}, &topology);
+  scanner::Collector collector(codec, &topology);
   collector.attach(auth);
 
   std::vector<scanner::TargetInfo> targets;

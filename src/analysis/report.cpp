@@ -9,6 +9,8 @@ namespace cd::analysis {
 
 namespace {
 
+constexpr std::size_t kCountryRows = 10;  // top countries shown, by AS count
+
 std::string pct_cell(std::uint64_t part, std::uint64_t whole) {
   return cd::with_commas(part) + " (" +
          cd::percent(static_cast<double>(part), static_cast<double>(whole)) +
@@ -63,8 +65,7 @@ void render_bands(std::string& out, const Table4Result& result) {
          " classified resolvers) ==\n" + t.to_string() + "\n";
 }
 
-void render_countries(std::string& out, std::vector<CountryRow> rows,
-                      std::size_t limit) {
+void render_countries(std::string& out, std::vector<CountryRow> rows) {
   std::sort(rows.begin(), rows.end(),
             [](const CountryRow& a, const CountryRow& b) {
               return a.ases_total > b.ases_total;
@@ -74,13 +75,13 @@ void render_countries(std::string& out, std::vector<CountryRow> rows,
   std::size_t shown = 0;
   for (const CountryRow& row : rows) {
     if (row.country == "Other") continue;
-    if (shown++ >= limit) break;
+    if (shown++ >= kCountryRows) break;
     t.add_row({row.country, cd::with_commas(row.ases_total),
                pct_cell(row.ases_reachable, row.ases_total),
                cd::with_commas(row.targets_total),
                pct_cell(row.targets_reachable, row.targets_total)});
   }
-  out += "== DSAV by country (top " + std::to_string(limit) +
+  out += "== DSAV by country (top " + std::to_string(kCountryRows) +
          " by AS count) ==\n" + t.to_string() + "\n";
 }
 
@@ -89,16 +90,14 @@ void render_countries(std::string& out, std::vector<CountryRow> rows,
 std::string render_report(const Records& records,
                           std::span<const cd::scanner::TargetInfo> targets,
                           const GeoDb& geo, const PassiveCapture& passive,
-                          const std::vector<cd::net::IpAddr>& public_dns_addrs,
-                          const ReportOptions& options) {
+                          const std::vector<cd::net::IpAddr>& public_dns_addrs) {
   std::string out;
   out += "================ closeddoors measurement report ================\n\n";
 
   render_dsav(out, summarize_dsav(records, targets));
 
-  if (options.countries && geo.size() > 0) {
-    render_countries(out, dsav_by_country(records, targets, geo),
-                     options.country_rows);
+  if (geo.size() > 0) {
+    render_countries(out, dsav_by_country(records, targets, geo));
   }
 
   render_categories(out, build_category_table(records, targets));
@@ -147,7 +146,7 @@ std::string render_report(const Records& records,
          cd::with_commas(low.wrapped) + "); <=7 unique of 10: " +
          pct_cell(low.few_unique, low.total) + "\n\n";
 
-  if (options.passive && !passive.empty()) {
+  if (!passive.empty()) {
     const auto cmp = compare_with_passive(records, passive);
     out += "== Passive cross-check (18 months earlier) ==\n";
     out += "zero-range now: " + cd::with_commas(cmp.zero_now) +

@@ -12,23 +12,14 @@
 
 namespace cd::analysis {
 
-struct ReportOptions {
-  /// Include the per-country Table 1/2 sections (needs a populated GeoDb).
-  bool countries = true;
-  /// Rows per country table.
-  std::size_t country_rows = 10;
-  /// Include the §5.2.2 section (needs a passive capture).
-  bool passive = true;
-};
-
 /// Renders the full measurement report: DSAV prevalence, category
 /// effectiveness, open/closed, forwarding, port-range bands, zero-range and
-/// low-range drill-downs, and (optionally) country tables and the passive
-/// cross-check. Pure function of its inputs; safe to call repeatedly.
+/// low-range drill-downs, the top-10 country table when `geo` is populated,
+/// and the §5.2.2 passive cross-check when `passive` is non-empty. Pure
+/// function of its inputs; safe to call repeatedly.
 [[nodiscard]] std::string render_report(
     const Records& records, std::span<const cd::scanner::TargetInfo> targets,
     const GeoDb& geo, const PassiveCapture& passive,
-    const std::vector<cd::net::IpAddr>& public_dns_addrs,
-    const ReportOptions& options = {});
+    const std::vector<cd::net::IpAddr>& public_dns_addrs);
 
 }  // namespace cd::analysis

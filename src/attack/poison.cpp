@@ -29,6 +29,21 @@ namespace {
 /// scouting and racing.
 constexpr std::uint16_t kFollowWindow = 16;
 
+/// First trigger fires at kStartDelay plus a per-victim stagger drawn
+/// uniformly from [0, kStartWindow).
+constexpr SimTime kStartDelay = 200 * cd::sim::kMillisecond;
+constexpr SimTime kStartWindow = 100 * cd::sim::kMillisecond;
+/// Gap between a victim's rounds. Must exceed the slowest full resolution
+/// (root -> org -> ns1 -> site is bounded by a handful of <=100ms RTTs), so
+/// round r's scouting observation always lands before round r+1's burst is
+/// computed.
+constexpr SimTime kRoundSpacing = 800 * cd::sim::kMillisecond;
+/// Burst launch time relative to the trigger: attacker->victim transit
+/// applies equally to trigger and forgeries, so a small constant lead puts
+/// every forgery inside (upstream query sent, legitimate answer back) — the
+/// legitimate cross-AS round trip is >= 10ms while jitter stays under 0.5ms.
+constexpr SimTime kBurstLead = 2 * cd::sim::kMillisecond;
+
 }  // namespace
 
 std::uint16_t SpoofInjector::GuessModel::draw(cd::Rng& rng) const {
@@ -120,14 +135,10 @@ IpAddr SpoofInjector::neighbor_of(const IpAddr& v) {
 void SpoofInjector::add_victim(const VictimSpec& spec) {
   if (victims_.count(spec.addr)) return;
 
-  cd::Rng rng =
-      cd::Rng::substream(seed_, cd::net::IpAddrHash{}(spec.addr));
-  if (!rng.chance(config_.victim_fraction)) return;
-
   auto [it, inserted] = victims_.emplace(spec.addr, VictimState{});
   VictimState& state = it->second;
   state.spec = spec;
-  state.rng = rng;
+  state.rng = cd::Rng::substream(seed_, cd::net::IpAddrHash{}(spec.addr));
   state.rec.victim = spec.addr;
   state.rec.asn = spec.asn;
   state.rec.software = spec.software;
@@ -145,14 +156,11 @@ void SpoofInjector::add_victim(const VictimSpec& spec) {
   state.trigger_send.assign(state.names.size(), -1);
 
   const SimTime start =
-      config_.start_delay +
-      (config_.start_window > 0
-           ? static_cast<SimTime>(state.rng.uniform(
-                 static_cast<std::uint64_t>(config_.start_window)))
-           : 0);
+      kStartDelay + static_cast<SimTime>(state.rng.uniform(
+                        static_cast<std::uint64_t>(kStartWindow)));
   auto& loop = network_.loop();
   for (int r = 0; r <= config_.rounds; ++r) {
-    loop.schedule_in(start + static_cast<SimTime>(r) * config_.round_spacing,
+    loop.schedule_in(start + static_cast<SimTime>(r) * kRoundSpacing,
                      [this, addr = spec.addr, r] {
                        auto vit = victims_.find(addr);
                        if (vit != victims_.end()) send_trigger(vit->second, r);
@@ -195,7 +203,7 @@ void SpoofInjector::send_trigger(VictimState& state, int round) {
   SimTime delay = state.last_final_delta -
                   cd::sim::Network::pair_base_latency(attacker_asn_,
                                                       state.spec.asn) +
-                  config_.burst_lead;
+                  kBurstLead;
   if (delay < 0) delay = 0;
   loop.schedule_in(delay, [this, addr = state.spec.addr, round] {
     auto vit = victims_.find(addr);
@@ -238,7 +246,7 @@ void SpoofInjector::send_burst(VictimState& state, int round) {
         cd::dns::Rcode::kNoError);
     fake.header.aa = true;
     fake.answers.push_back(
-        cd::dns::make_a(name, poisoned_addr_, config_.forged_ttl));
+        cd::dns::make_a(name, poisoned_addr_, kForgedTtl));
     network_.send(cd::net::make_udp(service_addr_, 53, state.spec.addr, port,
                                     cd::dns::encode_pooled(fake)),
                   attacker_asn_);
@@ -281,8 +289,8 @@ void SpoofInjector::finalize(
   // timestamp depends on unrelated traffic (and thus on shard layout), so
   // TTL decay must not be measured against it.
   const SimTime check_time =
-      config_.start_delay + config_.start_window +
-      static_cast<SimTime>(config_.rounds + 1) * config_.round_spacing +
+      kStartDelay + kStartWindow +
+      static_cast<SimTime>(config_.rounds + 1) * kRoundSpacing +
       cd::sim::kSecond;
 
   for (auto& [addr, state] : victims_) {

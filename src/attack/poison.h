@@ -39,6 +39,10 @@ class RecursiveResolver;
 
 namespace cd::attack {
 
+/// TTL carried by forged answers. Deliberately above dns::CacheConfig's
+/// default max_ttl so a successful injection exercises the clamp.
+inline constexpr std::uint32_t kForgedTtl = 604800;
+
 struct PoisonConfig {
   /// Raced rounds per victim (round 0 is a warm round that only caches the
   /// delegation chain; rounds 1..rounds carry bursts).
@@ -46,30 +50,8 @@ struct PoisonConfig {
   /// Forged responses per raced round — the attacker's per-window packet
   /// budget.
   std::uint32_t burst = 32;
-  /// TTL carried by forged answers. Deliberately above dns::CacheConfig's
-  /// default max_ttl so a successful injection exercises the clamp.
-  std::uint32_t forged_ttl = 604800;
-  /// First trigger fires at start_delay plus a per-victim stagger drawn
-  /// uniformly from [0, start_window).
-  cd::sim::SimTime start_delay = 200 * cd::sim::kMillisecond;
-  cd::sim::SimTime start_window = 100 * cd::sim::kMillisecond;
-  /// Gap between a victim's rounds. Must exceed the slowest full resolution
-  /// (root -> org -> ns1 -> site is bounded by a handful of <=100ms RTTs),
-  /// so round r's scouting observation always lands before round r+1's
-  /// burst is computed.
-  cd::sim::SimTime round_spacing = 800 * cd::sim::kMillisecond;
-  /// Burst launch time relative to the trigger: attacker->victim transit
-  /// applies equally to trigger and forgeries, so a small constant lead puts
-  /// every forgery inside (upstream query sent, legitimate answer back) —
-  /// the legitimate cross-AS round trip is >= 10ms while jitter stays under
-  /// 0.5ms.
-  cd::sim::SimTime burst_lead = 2 * cd::sim::kMillisecond;
   /// Number of anycast authoritative sites serving the poison subzone.
   int sites = 3;
-  /// Deterministic per-victim sampling gate (1.0 = attack every enumerated
-  /// victim). A pure function of the victim address, so any shard layout
-  /// attacks the same set.
-  double victim_fraction = 1.0;
 };
 
 /// One enumerated attack target (a non-forwarding recursive resolver).
@@ -98,7 +80,7 @@ struct PoisonRecord {
   std::uint32_t rounds = 0;         // raced rounds launched
   std::uint32_t success_round = 0;  // first round whose forgery was accepted
   /// Remaining TTL of the poisoned RRset at the deterministic post-campaign
-  /// check time (clamped by the victim's cache from forged_ttl).
+  /// check time (clamped by the victim's cache from kForgedTtl).
   std::uint32_t poisoned_ttl = 0;
   std::uint64_t triggers = 0;  // trigger queries injected
   std::uint64_t forged = 0;    // forged responses fired
@@ -111,8 +93,8 @@ struct PoisonRecord {
 /// by AS) and merge by insertion.
 using PoisonRecords = std::map<cd::net::IpAddr, PoisonRecord>;
 
-/// The off-path attacker. Construct once per experiment shard, register the
-/// anycast site auth logs via observe_auth (AuthServer::add_observer), feed
+/// The off-path attacker. Construct once per experiment shard, observe the
+/// anycast sites' queries via observe_auth (AuthServer::add_observer), feed
 /// victims with add_victim before the event loop drains, then finalize()
 /// against the victims' caches.
 class SpoofInjector {
@@ -133,7 +115,7 @@ class SpoofInjector {
   /// Call before the loop drains.
   void add_victim(const VictimSpec& spec);
 
-  /// Scouting: feed every anycast site's auth log through this (attach with
+  /// Scouting: feed every anycast site's queries through this (attach with
   /// AuthServer::add_observer). Stands in for an attacker observing queries
   /// for its own zone arrive at its own authoritative infrastructure — the
   /// (port, TXID) sequence is exactly what such an attacker learns. Entries

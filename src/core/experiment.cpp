@@ -29,16 +29,15 @@ Experiment::Experiment(cd::ditl::World& world, ExperimentConfig config)
       rng.split("select"));
   prober_ = std::make_unique<Prober>(*world_.vantage, codec, *selector_,
                                      config_.probe, rng.split("probe"));
-  collector_ = std::make_unique<Collector>(codec, config_.collector,
-                                           &world_.topology);
+  collector_ = std::make_unique<Collector>(codec, &world_.topology);
   for (cd::resolver::AuthServer* auth : world_.experiment_auths) {
     collector_->attach(*auth);
   }
   if (config_.crosscheck) {
     crosscheck_prober_ = std::make_unique<cd::scanner::CrossCheckProber>(
         *world_.vantage, codec, *config_.crosscheck, rng.split("crosscheck"));
-    crosscheck_collector_ = std::make_unique<cd::scanner::CrossCheckCollector>(
-        codec, config_.crosscheck->lifetime_threshold);
+    crosscheck_collector_ =
+        std::make_unique<cd::scanner::CrossCheckCollector>(codec);
     for (cd::resolver::AuthServer* auth : world_.experiment_auths) {
       crosscheck_collector_->attach(*auth);
     }
@@ -278,17 +277,17 @@ const ExperimentResults& Experiment::run() {
   results.queries_sent = prober_->queries_sent();
   results.transport = world_.network->transport_counters();
   results.transport_replies = prober_->transport_replies();
-  // Deterministic teardown: with the loop fully drained, every connection on
-  // every host has completed, timed out, or been idle-closed — a leaked
-  // entry means a stray timer or session index entry. Conservation: every
-  // packet sent was either delivered or dropped for exactly one reason.
-  if (world_.loop.pending() == 0) {
-    CD_ENSURE(world_.network->open_tcp_connections() == 0,
-              "Experiment: TCP connections leaked past the drained loop");
-    const cd::sim::NetworkStats& net = results.network_stats;
-    CD_ENSURE(net.sent == net.delivered + net.dropped(),
-              "Experiment: packets sent != delivered + dropped at drain");
-  }
+  // Deterministic teardown: run() returned, so the loop is drained (it
+  // throws at kMaxEventsPerShard instead of returning early), and every
+  // connection on every host has completed, timed out, or been idle-closed
+  // — a leaked entry means a stray timer or session index entry.
+  // Conservation: every packet sent was either delivered or dropped for
+  // exactly one reason.
+  CD_ENSURE(world_.network->open_tcp_connections() == 0,
+            "Experiment: TCP connections leaked past the drained loop");
+  const cd::sim::NetworkStats& net = results.network_stats;
+  CD_ENSURE(net.sent == net.delivered + net.dropped(),
+            "Experiment: packets sent != delivered + dropped at drain");
   results.followup_batteries = followup_ ? followup_->batteries_sent() : 0;
   results.analyst_replays = analyst_ ? analyst_->replays() : 0;
   if (crosscheck_collector_) {

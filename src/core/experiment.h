@@ -49,7 +49,6 @@ struct CaptureSpec {
 
 struct ExperimentConfig {
   cd::scanner::ProbeConfig probe;
-  cd::scanner::CollectorConfig collector;
   cd::scanner::FollowupConfig followup;
   /// When set, simulate IDS analysts replaying logged probes (§3.6.3).
   std::optional<cd::scanner::AnalystConfig> analyst;
@@ -94,8 +93,8 @@ struct ExperimentConfig {
   /// §6.2.1.1 pipelining window).
   int max_pipeline = 8;
   /// DoT-style sessions: each dial additionally pays a fixed hello
-  /// handshake (sim::TransportOptions::dot_handshake_rtts round trips of
-  /// real stream bytes) plus a setup delay before the first DNS byte, so
+  /// handshake (sim::Host::kDotHandshakeRtts round trips of real stream
+  /// bytes) plus a setup delay before the first DNS byte, so
   /// connection-reuse amortization is measurable in the scan-cost tables.
   bool dot_sessions = false;
 

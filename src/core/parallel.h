@@ -74,8 +74,8 @@ struct ShardedResults {
 /// perturbs: per-record `first_hit_time`, the world's `network_stats`,
 /// `collector_stats` (a forwarded target resolving against a cold
 /// per-shard cache takes longer, which can add retransmitted — duplicate —
-/// auth log entries; every evidence *set* stays exact because the records
-/// deduplicate), and the cross-check records' `hits` /
+/// authoritative queries; every evidence *set* stays exact because the
+/// records deduplicate), and the cross-check records' `hits` /
 /// `direct_seen`/`forwarded_seen` (duplicate counts plus the
 /// forward-failover resolver's sequential direct-vs-forward draw).
 [[nodiscard]] std::uint64_t results_digest(const ExperimentResults& results);

@@ -23,12 +23,10 @@ CacheResult Cache::lookup(const DnsName& name, RrType type,
   for (;;) {
     const auto it = nxdomain_.find(walk);
     if (it != nxdomain_.end() && it->second.expires > now) {
-      if (walk == name || config_.rfc8020) {
-        result.kind = CacheHitKind::kNegativeName;
-        return result;
-      }
+      result.kind = CacheHitKind::kNegativeName;
+      return result;
     }
-    if (walk.is_root() || !config_.rfc8020) break;
+    if (walk.is_root()) break;
     walk = walk.parent();
   }
 

@@ -1,8 +1,8 @@
 // Recursive-resolver cache with TTL expiry and negative caching.
 //
 // Negative caching implements RFC 2308 (NXDOMAIN / NoData entries bounded by
-// the SOA minimum) and, optionally, RFC 8020: a cached NXDOMAIN for a name
-// proves that nothing exists beneath it. RFC 8020 is what makes the paper's
+// the SOA minimum) and RFC 8020: a cached NXDOMAIN for a name proves that
+// nothing exists beneath it. RFC 8020 is what makes the paper's
 // NXDOMAIN-returning authoritative setup halt QNAME-minimizing resolvers
 // (§3.6.4), so its presence here is load-bearing for the reproduction.
 #pragma once
@@ -34,7 +34,6 @@ struct CacheResult {
 };
 
 struct CacheConfig {
-  bool rfc8020 = true;            // ancestor NXDOMAIN covers descendants
   std::uint32_t max_ttl = 86400;  // clamp stored TTLs
   std::size_t max_entries = 100000;
 };

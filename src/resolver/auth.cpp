@@ -44,16 +44,14 @@ AuthServer::AuthServer(cd::sim::Host& host, AuthConfig config)
   host_.bind_udp(53, [this](const Packet& pkt) { on_udp(pkt); });
   // One handler serves both lifecycles: with the persistent knob off each
   // connection carries one exchange (the reply retires it); with it on the
-  // same handler answers every frame of a pipelined session, and the idle
-  // window below bounds how long a quiet session is kept open.
+  // same handler answers every frame of a pipelined session, and the
+  // network-wide idle window bounds how long a quiet session is kept open.
   host_.tcp_listen_session(
-      53,
-      [this](const cd::sim::TcpConnInfo& info,
-             std::span<const std::uint8_t> request,
-             cd::sim::Host::TcpSessionReply reply) {
+      53, [this](const cd::sim::TcpConnInfo& info,
+                 std::span<const std::uint8_t> request,
+                 cd::sim::Host::TcpSessionReply reply) {
         reply(on_tcp(info, request));
-      },
-      config_.tcp_idle_timeout);
+      });
 }
 
 void AuthServer::add_zone(std::shared_ptr<cd::dns::Zone> zone) {
@@ -142,10 +140,8 @@ void AuthServer::record(const DnsMessage& query, const cd::net::IpAddr& client,
   entry.tcp = tcp;
   entry.syn = syn;
 
-  if (config_.max_log > 0 && log_.size() >= config_.max_log) log_.pop_front();
-  log_.push_back(entry);
   ++served_;
-  for (const Observer& obs : observers_) obs(log_.back());
+  for (const Observer& obs : observers_) obs(entry);
 }
 
 void AuthServer::on_udp(const Packet& packet) {

@@ -1,12 +1,11 @@
 // Authoritative DNS server bound to a simulated host.
 //
-// Serves one or more zones over UDP and TCP port 53, logs every query with
-// transport metadata (including the client's TCP SYN for fingerprinting),
-// and can force TC=1 on UDP responses for names under a configured suffix —
+// Serves one or more zones over UDP and TCP port 53, hands every query with
+// its transport metadata (including the client's TCP SYN for fingerprinting)
+// to the registered observers, and can force TC=1 on UDP responses for names under a configured suffix —
 // the mechanism the paper uses to elicit DNS-over-TCP follow-ups.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -37,12 +36,6 @@ struct AuthConfig {
   /// UDP queries for names under any of these suffixes are answered with
   /// TC=1 and no data, forcing the client to retry over TCP.
   std::vector<cd::dns::DnsName> truncate_suffixes;
-  /// Keep at most this many log entries in memory (0 = unbounded).
-  std::size_t max_log = 0;
-  /// RFC 7766 §6.1 server-side idle window for persistent TCP sessions
-  /// (0 = the network-wide Network::transport().idle_timeout). Ignored
-  /// entirely while the persistent-transport knob is off.
-  cd::sim::SimTime tcp_idle_timeout = 0;
 };
 
 class AuthServer {
@@ -59,10 +52,10 @@ class AuthServer {
   /// Adds a zone this server is authoritative for.
   void add_zone(std::shared_ptr<cd::dns::Zone> zone);
 
-  /// Registers an observer invoked synchronously for each logged query.
+  /// Registers an observer invoked synchronously for each query received.
+  /// The entry lives only for the call; an observer copies what it keeps.
   void add_observer(Observer observer);
 
-  [[nodiscard]] const std::deque<AuthLogEntry>& log() const { return log_; }
   [[nodiscard]] std::uint64_t queries_served() const { return served_; }
 
   /// Computes the response for `query` (exposed for direct testing).
@@ -83,7 +76,6 @@ class AuthServer {
   AuthConfig config_;
   std::vector<std::shared_ptr<cd::dns::Zone>> zones_;
   std::vector<Observer> observers_;
-  std::deque<AuthLogEntry> log_;
   std::uint64_t served_ = 0;
 };
 

@@ -21,6 +21,10 @@ using cd::net::Packet;
 
 namespace {
 
+constexpr int kMaxSteps = 48;         // upstream exchanges per resolution
+constexpr int kMaxCnameDepth = 8;     // CNAME chain guard
+constexpr int kMaxNsFetchDepth = 2;   // glue-less delegation sub-resolutions
+
 std::uint64_t pending_key(std::uint16_t port, std::uint16_t txid) {
   return (static_cast<std::uint64_t>(port) << 16) | txid;
 }
@@ -67,11 +71,7 @@ void RecursiveResolver::handle_tcp_client(
   }
   if (!acl_allows(info.peer)) {
     ++stats_.refused;
-    if (config_.respond_refused) {
-      reply(tcp_frame_pooled(cd::dns::make_response(query, Rcode::kRefused)));
-    } else {
-      reply({});  // the silent drop, TCP flavor: settle without a response
-    }
+    reply(tcp_frame_pooled(cd::dns::make_response(query, Rcode::kRefused)));
     return;
   }
   const DnsMessage query_copy = query;
@@ -131,11 +131,9 @@ void RecursiveResolver::handle_client_query(const Packet& packet,
 
   if (!acl_allows(packet.src)) {
     ++stats_.refused;
-    if (config_.respond_refused) {
-      DnsMessage resp = cd::dns::make_response(query, Rcode::kRefused);
-      host_.send_udp(packet.dst, 53, packet.src, packet.src_port,
-                     cd::dns::encode_pooled(resp));
-    }
+    host_.send_udp(packet.dst, 53, packet.src, packet.src_port,
+                   cd::dns::encode_pooled(
+                       cd::dns::make_response(query, Rcode::kRefused)));
     return;
   }
 
@@ -275,7 +273,7 @@ std::optional<IpAddr> RecursiveResolver::pick_server(TaskPtr task) {
 
 void RecursiveResolver::send_current_query(const TaskPtr& task) {
   if (task->finished) return;
-  if (++task->steps > config_.max_steps) {
+  if (++task->steps > kMaxSteps) {
     finish(task, Rcode::kServFail, {});
     return;
   }
@@ -550,7 +548,7 @@ void RecursiveResolver::handle_delegation(const TaskPtr& task,
 
   if (next_servers.empty()) {
     // Glue-less delegation: resolve a nameserver address out of band.
-    if (task->ns_fetch_depth >= config_.max_ns_fetch_depth ||
+    if (task->ns_fetch_depth >= kMaxNsFetchDepth ||
         ns_names.empty()) {
       finish(task, Rcode::kServFail, {});
       return;
@@ -646,7 +644,7 @@ void RecursiveResolver::handle_answer(const TaskPtr& task,
   }
 
   if (cname_target && task->qtype != RrType::kCname) {
-    if (++task->cname_depth > config_.max_cname_depth) {
+    if (++task->cname_depth > kMaxCnameDepth) {
       finish(task, Rcode::kServFail, {});
       return;
     }

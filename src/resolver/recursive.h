@@ -32,11 +32,9 @@ struct RootHints {
 struct ResolverConfig {
   /// Serve any client (an "open resolver"). When false, clients must match
   /// the ACL below; the resolver's own addresses and loopback are always
-  /// allowed.
+  /// allowed, and every other client gets REFUSED.
   bool open = false;
   std::vector<cd::net::Prefix> acl;
-  /// Send a REFUSED response to denied clients (vs. silently dropping).
-  bool respond_refused = true;
 
   QminMode qmin = QminMode::kOff;
 
@@ -50,9 +48,6 @@ struct ResolverConfig {
 
   int max_retries = 2;  // per-server retransmissions
   cd::sim::SimTime query_timeout = 2 * cd::sim::kSecond;
-  int max_steps = 48;       // upstream exchanges per resolution
-  int max_cname_depth = 8;  // CNAME chain guard
-  int max_ns_fetch_depth = 2;  // glue-less delegation sub-resolutions
   cd::dns::CacheConfig cache;
 };
 

@@ -8,6 +8,14 @@ namespace cd::scanner {
 using cd::net::IpAddr;
 using cd::net::Packet;
 
+namespace {
+
+/// A replay lands uniformly within [kMinDelay, kMaxDelay) after the probe.
+constexpr cd::sim::SimTime kMinDelay = cd::sim::kHour;
+constexpr cd::sim::SimTime kMaxDelay = 48 * cd::sim::kHour;
+
+}  // namespace
+
 AnalystSimulator::AnalystSimulator(cd::sim::Network& network,
                                    std::set<cd::sim::Asn> ids_asns,
                                    IpAddr public_resolver,
@@ -56,10 +64,8 @@ void AnalystSimulator::maybe_replay(const Packet& packet) {
 
   ++replays_;
   const cd::sim::SimTime delay =
-      config_.min_delay +
-      static_cast<cd::sim::SimTime>(
-          decision.uniform(static_cast<std::uint64_t>(
-              config_.max_delay - config_.min_delay)));
+      kMinDelay + static_cast<cd::sim::SimTime>(decision.uniform(
+                      static_cast<std::uint64_t>(kMaxDelay - kMinDelay)));
 
   // The analyst's workstation: some address inside the logging AS, same
   // family as the public resolver it queries.

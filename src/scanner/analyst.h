@@ -27,8 +27,6 @@ namespace cd::scanner {
 struct AnalystConfig {
   /// Probability that a logged probe gets replayed by a human.
   double replay_probability = 0.001;
-  cd::sim::SimTime min_delay = cd::sim::kHour;
-  cd::sim::SimTime max_delay = 48 * cd::sim::kHour;
   /// Upper bound on total replays (humans get bored).
   std::uint64_t max_replays = 1000;
 };

@@ -20,9 +20,8 @@ SourceCategory categorize_source(const IpAddr& src, const IpAddr& dst) {
   return SourceCategory::kOtherPrefix;
 }
 
-Collector::Collector(QnameCodec codec, CollectorConfig config,
-                     const cd::sim::Topology* topology)
-    : codec_(std::move(codec)), config_(config), topology_(topology) {}
+Collector::Collector(QnameCodec codec, const cd::sim::Topology* topology)
+    : codec_(std::move(codec)), topology_(topology) {}
 
 void Collector::attach(cd::resolver::AuthServer& server) {
   server.add_observer(
@@ -72,7 +71,7 @@ void Collector::observe(const cd::resolver::AuthLogEntry& entry) {
   }
 
   const cd::sim::SimTime lifetime = entry.time - *decoded.ts;
-  if (lifetime > config_.lifetime_threshold) {
+  if (lifetime > kLifetimeThreshold) {
     // Too old to be machine resolution: a human analyst replaying a logged
     // name (§3.6.3). Not trustworthy DSAV evidence.
     ++stats_.excluded_lifetime;

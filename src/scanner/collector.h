@@ -18,12 +18,6 @@
 
 namespace cd::scanner {
 
-struct CollectorConfig {
-  /// Queries whose embedded timestamp is older than this on arrival are
-  /// attributed to human analysts poking at logs, not to our probes.
-  cd::sim::SimTime lifetime_threshold = 10 * cd::sim::kSecond;
-};
-
 /// Everything learned about one target IP address.
 struct TargetRecord {
   cd::net::IpAddr target;
@@ -55,7 +49,7 @@ struct TargetRecord {
 struct CollectorStats {
   std::uint64_t entries_seen = 0;
   std::uint64_t foreign = 0;            // not our experiment's names
-  std::uint64_t excluded_lifetime = 0;  // over the human threshold
+  std::uint64_t excluded_lifetime = 0;  // over kLifetimeThreshold
   std::uint64_t qmin_partial = 0;       // names missing the src/dst labels
 
   /// Accumulates another collector's counters (merging shard results).
@@ -80,10 +74,9 @@ class Collector {
 
   /// `topology` is used to attribute client addresses to ASes (may be null;
   /// QNAME-minimization AS evidence is then skipped).
-  Collector(QnameCodec codec, CollectorConfig config,
-            const cd::sim::Topology* topology);
+  Collector(QnameCodec codec, const cd::sim::Topology* topology);
 
-  /// Registers this collector on an authoritative server's query log.
+  /// Registers this collector as an observer of an authoritative server.
   void attach(cd::resolver::AuthServer& server);
 
   /// Invoked once per target, on its first qualifying reachability hit.
@@ -106,12 +99,11 @@ class Collector {
     return lifetime_excluded_;
   }
 
-  /// Exposed for testing: process one log entry.
+  /// Exposed for testing: process one observed query.
   void observe(const cd::resolver::AuthLogEntry& entry);
 
  private:
   QnameCodec codec_;
-  CollectorConfig config_;
   const cd::sim::Topology* topology_;
   FirstHitHandler first_hit_;
   std::unordered_map<cd::net::IpAddr, TargetRecord, cd::net::IpAddrHash>

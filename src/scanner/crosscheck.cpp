@@ -10,6 +10,19 @@ using cd::net::IpAddr;
 using cd::net::Packet;
 using cd::net::Prefix;
 
+namespace {
+
+/// The first chain starts this long after the campaign does.
+constexpr cd::sim::SimTime kStartDelay = cd::sim::kSecond;
+/// Offset of the forged "local resolver" source (.1 by convention). When the
+/// probed host *is* that address the source shifts one up, so it never
+/// equals the destination (the OS model rejects dst-as-src).
+constexpr std::uint32_t kResolverOffset = 1;
+static_assert(kResolverOffset >= 1 && kResolverOffset < 254,
+              "resolver offset outside the /24 host range");
+
+}  // namespace
+
 CrossCheckProber::CrossCheckProber(cd::sim::Host& vantage, QnameCodec codec,
                                    CrossCheckConfig config, cd::Rng rng)
     : vantage_(vantage),
@@ -19,8 +32,6 @@ CrossCheckProber::CrossCheckProber(cd::sim::Host& vantage, QnameCodec codec,
   CD_ENSURE(config_.host_lo >= 1 && config_.host_lo < config_.host_hi &&
                 config_.host_hi <= 255,
             "CrossCheckProber: host window must lie within [1, 255)");
-  CD_ENSURE(config_.resolver_offset >= 1 && config_.resolver_offset < 254,
-            "CrossCheckProber: resolver offset outside the /24 host range");
 }
 
 void CrossCheckProber::schedule_campaign(std::vector<PrefixTarget> prefixes) {
@@ -37,7 +48,7 @@ void CrossCheckProber::schedule_campaign(std::vector<PrefixTarget> prefixes) {
     cd::Rng rng = cd::Rng::substream(
         seed_, cd::net::IpAddrHash{}(prefixes_[i].prefix.base()));
     const cd::sim::SimTime start =
-        config_.start_delay +
+        kStartDelay +
         static_cast<cd::sim::SimTime>(
             rng.uniform(static_cast<std::uint64_t>(config_.duration)));
     loop.schedule_at(start, [this, i, rng]() mutable {
@@ -60,9 +71,8 @@ void CrossCheckProber::probe_step(std::size_t idx, std::uint32_t offset,
 void CrossCheckProber::send_probe(const PrefixTarget& pt, std::uint32_t offset,
                                   cd::Rng& rng) {
   const IpAddr dst = pt.prefix.nth(offset);
-  const std::uint32_t src_offset = offset == config_.resolver_offset
-                                       ? config_.resolver_offset + 1
-                                       : config_.resolver_offset;
+  const std::uint32_t src_offset =
+      offset == kResolverOffset ? kResolverOffset + 1 : kResolverOffset;
   const IpAddr src = pt.prefix.nth(src_offset);
 
   QnameInfo info;
@@ -88,9 +98,8 @@ void CrossCheckProber::send_probe(const PrefixTarget& pt, std::uint32_t offset,
   ++sent_;
 }
 
-CrossCheckCollector::CrossCheckCollector(QnameCodec codec,
-                                         cd::sim::SimTime lifetime_threshold)
-    : codec_(std::move(codec)), lifetime_threshold_(lifetime_threshold) {}
+CrossCheckCollector::CrossCheckCollector(QnameCodec codec)
+    : codec_(std::move(codec)) {}
 
 void CrossCheckCollector::attach(cd::resolver::AuthServer& server) {
   server.add_observer(
@@ -118,7 +127,7 @@ void CrossCheckCollector::observe(const cd::resolver::AuthLogEntry& entry) {
   }
   if (!decoded.dst->is_v4()) return;  // the modality only probes v4 /24s
 
-  if (entry.time - *decoded.ts > lifetime_threshold_) {
+  if (entry.time - *decoded.ts > kLifetimeThreshold) {
     // A human analyst replaying a logged cross-check name hours later
     // (§3.6.3) — not inbound-SAV evidence.
     ++stats_.excluded_lifetime;

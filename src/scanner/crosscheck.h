@@ -48,18 +48,11 @@ struct CrossCheckConfig {
   cd::sim::SimTime duration = 2 * cd::sim::kHour;
   /// Spacing between consecutive host probes within one /24.
   cd::sim::SimTime per_query_spacing = cd::sim::kSecond;
-  cd::sim::SimTime start_delay = cd::sim::kSecond;
   /// Probed host offsets within each /24: [host_lo, host_hi). The default
   /// walks every host address (1..254); tests and the bench narrow it to
   /// the offsets the world's resolver addressing can occupy.
   std::uint32_t host_lo = 1;
   std::uint32_t host_hi = 255;
-  /// Offset of the forged "local resolver" source (.1 by convention). When
-  /// the probed host *is* that address the source shifts one up, so it
-  /// never equals the destination (the OS model rejects dst-as-src).
-  std::uint32_t resolver_offset = 1;
-  /// Human-analyst replay filter, as in the probe plane (§3.6.3).
-  cd::sim::SimTime lifetime_threshold = 10 * cd::sim::kSecond;
 };
 
 /// Walks every prefix's host window with spoofed in-prefix sources. Packets
@@ -103,8 +96,9 @@ struct PrefixRecord {
   /// Probed destinations whose resolution escaped to our sink. Dedup'd, so
   /// the value is independent of retry/cache timing (digest-safe).
   std::set<cd::net::IpAddr> responding;
-  /// Raw attributed auth-log entries (includes retransmit duplicates whose
-  /// count depends on shared-cache warmness — excluded from results_digest).
+  /// Raw attributed authoritative queries (includes retransmit duplicates
+  /// whose count depends on shared-cache warmness — excluded from
+  /// results_digest).
   std::uint64_t hits = 0;
   /// How the evidence arrived: from the probed host itself, or forwarded by
   /// another client. A forward-failover resolver's choice is drawn from its
@@ -126,7 +120,7 @@ struct CrossCheckStats {
   std::uint64_t entries_seen = 0;
   std::uint64_t foreign = 0;            // not our experiment's names
   std::uint64_t partial = 0;            // QNAME-minimized, unattributable
-  std::uint64_t excluded_lifetime = 0;  // over the human threshold
+  std::uint64_t excluded_lifetime = 0;  // over kLifetimeThreshold
 };
 
 /// Authoritative-side observation for the cross-check plane. Attaches next
@@ -134,19 +128,18 @@ struct CrossCheckStats {
 /// evidence instead of per-target records.
 class CrossCheckCollector {
  public:
-  CrossCheckCollector(QnameCodec codec, cd::sim::SimTime lifetime_threshold);
+  explicit CrossCheckCollector(QnameCodec codec);
 
   void attach(cd::resolver::AuthServer& server);
 
   [[nodiscard]] const PrefixRecords& records() const { return records_; }
   [[nodiscard]] const CrossCheckStats& stats() const { return stats_; }
 
-  /// Exposed for testing: process one log entry.
+  /// Exposed for testing: process one observed query.
   void observe(const cd::resolver::AuthLogEntry& entry);
 
  private:
   QnameCodec codec_;
-  cd::sim::SimTime lifetime_threshold_;
   PrefixRecords records_;
   CrossCheckStats stats_;
 };

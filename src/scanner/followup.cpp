@@ -20,45 +20,31 @@ void FollowupEngine::on_first_hit(const TargetRecord& record,
   const TargetInfo target{record.target, record.asn};
   const cd::net::IpAddr spoofed = source;
 
-  cd::sim::SimTime at = config_.spacing;
-  if (config_.transport == FollowupTransport::kTcp) {
-    // Same battery shape, carried as RFC 7766 framed messages from the
-    // vantage's real address (spoofed sources cannot complete a TCP
-    // handshake). With the persistent transport on, all 22 messages ride
-    // one pipelined session per target instead of 22 dials.
-    for (int i = 0; i < config_.port_samples; ++i, at += config_.spacing) {
-      loop.schedule_in(at, [this, target] {
-        prober_.send_transport(target, QueryMode::kV4Only);
-      });
-    }
-    for (int i = 0; i < config_.port_samples; ++i, at += config_.spacing) {
-      loop.schedule_in(at, [this, target] {
-        prober_.send_transport(target, QueryMode::kV6Only);
-      });
-    }
-    loop.schedule_in(at,
-                     [this, target] { prober_.send_transport(target, QueryMode::kOpen); });
-    at += config_.spacing;
-    loop.schedule_in(at, [this, target] {
-      prober_.send_transport(target, QueryMode::kTcp);
+  // With kTcp the same battery rides RFC 7766 framed messages from the
+  // vantage's real address (spoofed sources cannot complete a TCP
+  // handshake). With the persistent transport on, all 22 messages ride one
+  // pipelined session per target instead of 22 dials.
+  const bool tcp = config_.transport == FollowupTransport::kTcp;
+  const auto send_at = [&](cd::sim::SimTime at, QueryMode mode) {
+    loop.schedule_in(at, [this, target, spoofed, tcp, mode] {
+      if (tcp) {
+        prober_.send_transport(target, mode);
+      } else if (mode == QueryMode::kOpen) {
+        prober_.send_open(target);
+      } else {
+        prober_.send_spoofed(target, spoofed, mode);
+      }
     });
-    return;
+  };
+  cd::sim::SimTime at = kFollowupSpacing;
+  for (int i = 0; i < kFollowupPortSamples; ++i, at += kFollowupSpacing) {
+    send_at(at, QueryMode::kV4Only);
   }
-  for (int i = 0; i < config_.port_samples; ++i, at += config_.spacing) {
-    loop.schedule_in(at, [this, target, spoofed] {
-      prober_.send_spoofed(target, spoofed, QueryMode::kV4Only);
-    });
+  for (int i = 0; i < kFollowupPortSamples; ++i, at += kFollowupSpacing) {
+    send_at(at, QueryMode::kV6Only);
   }
-  for (int i = 0; i < config_.port_samples; ++i, at += config_.spacing) {
-    loop.schedule_in(at, [this, target, spoofed] {
-      prober_.send_spoofed(target, spoofed, QueryMode::kV6Only);
-    });
-  }
-  loop.schedule_in(at, [this, target] { prober_.send_open(target); });
-  at += config_.spacing;
-  loop.schedule_in(at, [this, target, spoofed] {
-    prober_.send_spoofed(target, spoofed, QueryMode::kTcp);
-  });
+  send_at(at, QueryMode::kOpen);
+  send_at(at + kFollowupSpacing, QueryMode::kTcp);
 }
 
 }  // namespace cd::scanner

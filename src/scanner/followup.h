@@ -28,9 +28,12 @@ enum class FollowupTransport : std::uint8_t {
   kTcp = 1,
 };
 
+/// Queries per family for the port-range estimate.
+inline constexpr int kFollowupPortSamples = 10;
+/// Gap between consecutive battery messages (and before the first).
+inline constexpr cd::sim::SimTime kFollowupSpacing = cd::sim::kSecond;
+
 struct FollowupConfig {
-  int port_samples = 10;  // queries per family for the port-range estimate
-  cd::sim::SimTime spacing = cd::sim::kSecond;
   FollowupTransport transport = FollowupTransport::kUdp;
 };
 

@@ -11,6 +11,9 @@ using cd::net::Packet;
 
 namespace {
 
+/// The first target's probes start this long after the campaign does.
+constexpr cd::sim::SimTime kStartDelay = cd::sim::kSecond;
+
 /// FNV-1a over a byte span; mixed before folding so structurally similar
 /// replies land far apart in the per-target digest.
 std::uint64_t reply_hash(std::span<const std::uint8_t> bytes) {
@@ -128,7 +131,7 @@ void Prober::schedule_campaign(std::vector<TargetInfo> targets) {
     // that never sees the rest of the campaign list schedules its targets at
     // exactly the times the serial campaign would.
     const cd::sim::SimTime start =
-        config_.start_delay +
+        kStartDelay +
         static_cast<cd::sim::SimTime>(target_rng(targets_[i].addr)
                                           .uniform(static_cast<std::uint64_t>(
                                               config_.duration)));

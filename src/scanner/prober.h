@@ -41,7 +41,6 @@ struct ProbeConfig {
   /// multi-hour spacing to stay polite; in simulation politeness is free, so
   /// the default keeps per-target probes ordered without stretching the run.
   cd::sim::SimTime per_query_spacing = 10 * cd::sim::kSecond;
-  cd::sim::SimTime start_delay = cd::sim::kSecond;
 };
 
 /// Issues the probe campaign and one-off queries. Spoofed packets are

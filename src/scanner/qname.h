@@ -38,6 +38,11 @@ enum class QueryMode : std::uint8_t {
 
 [[nodiscard]] std::string query_mode_name(QueryMode mode);
 
+/// Human-analyst replay filter (§3.6.3): a query whose embedded timestamp is
+/// older than this on arrival is attributed to someone replaying a logged
+/// name, not to our probes. The probe and cross-check collectors share it.
+inline constexpr cd::sim::SimTime kLifetimeThreshold = 10 * cd::sim::kSecond;
+
 struct QnameInfo {
   cd::sim::SimTime ts = 0;
   cd::net::IpAddr src;

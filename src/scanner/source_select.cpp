@@ -44,9 +44,11 @@ IpAddr SourceSelector::pick_v4_host(const Prefix& p24, cd::Rng& rng) const {
 }
 
 IpAddr SourceSelector::pick_v6_host(const Prefix& p64, cd::Rng& rng) const {
-  const std::uint64_t window = config_.v6_window - config_.v6_skip;
-  const std::uint64_t offset = config_.v6_skip + rng.uniform(window);
-  return p64.nth(offset);
+  // One of the first 100 addresses of the /64, skipping the first two
+  // (router addresses).
+  constexpr std::uint64_t kV6Window = 100;
+  constexpr std::uint64_t kV6Skip = 2;
+  return p64.nth(kV6Skip + rng.uniform(kV6Window - kV6Skip));
 }
 
 std::vector<IpAddr> SourceSelector::other_prefix_v4(const IpAddr& target,
@@ -127,17 +129,14 @@ std::vector<IpAddr> SourceSelector::other_prefix_v6(const IpAddr& target,
   const std::size_t want = config_.max_other_prefixes;
 
   // Preference pass: hitlist-active /64s in this AS (observed activity).
-  if (config_.prefer_hitlist) {
-    const auto it = hitlist_by_asn_.find(asn);
-    if (it != hitlist_by_asn_.end()) {
-      std::vector<Prefix> active = it->second;
-      rng.shuffle(active);
-      for (const Prefix& p64 : active) {
-        if (out.size() >= want) break;
-        if (p64 == target_p64) continue;
-        if (!seen_bases.insert(p64.base().bits()).second) continue;
-        out.push_back(pick_v6_host(p64, rng));
-      }
+  if (const auto it = hitlist_by_asn_.find(asn); it != hitlist_by_asn_.end()) {
+    std::vector<Prefix> active = it->second;
+    rng.shuffle(active);
+    for (const Prefix& p64 : active) {
+      if (out.size() >= want) break;
+      if (p64 == target_p64) continue;
+      if (!seen_bases.insert(p64.base().bits()).second) continue;
+      out.push_back(pick_v6_host(p64, rng));
     }
   }
 

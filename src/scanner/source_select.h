@@ -38,11 +38,6 @@ struct SpoofedSource {
 
 struct SourceSelectConfig {
   std::size_t max_other_prefixes = 97;
-  /// IPv6 in-prefix host selection: first `v6_window` addresses of the /64,
-  /// excluding the first `v6_skip` (router addresses).
-  std::uint64_t v6_window = 100;
-  std::uint64_t v6_skip = 2;
-  bool prefer_hitlist = true;
 };
 
 class SourceSelector {

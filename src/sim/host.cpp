@@ -206,9 +206,8 @@ void Host::send_udp(const IpAddr& src, std::uint16_t src_port,
   network_.send(std::move(pkt), asn_);
 }
 
-void Host::tcp_listen_session(std::uint16_t port, TcpSessionHandler handler,
-                              SimTime idle_timeout) {
-  tcp_listeners_[port] = Listener{std::move(handler), idle_timeout};
+void Host::tcp_listen_session(std::uint16_t port, TcpSessionHandler handler) {
+  tcp_listeners_[port] = std::move(handler);
 }
 
 void Host::tcp_listen(std::uint16_t port, TcpServerHandler handler) {
@@ -409,13 +408,12 @@ void Host::process_client_session(const ConnKey& key) {
       } else {
         // Handshake done; session keys derive after a fixed setup cost,
         // then the queued messages flow.
-        network_.loop().schedule_in(
-            network_.transport().dot_setup_cost, [this, key] {
-              const auto cit = connections_.find(key);
-              if (cit == connections_.end()) return;
-              cit->second.tx_ready = true;
-              flush_session(key);
-            });
+        network_.loop().schedule_in(kDotSetupCost, [this, key] {
+          const auto cit = connections_.find(key);
+          if (cit == connections_.end()) return;
+          cit->second.tx_ready = true;
+          flush_session(key);
+        });
       }
     }
     if (conn.hello_rounds_left > 0) return;
@@ -496,7 +494,7 @@ void Host::process_server_session(const ConnKey& key) {
       if (response.size() > 0) session_write(key, c, response.spans());
       cd::BufferPool::release(std::move(response.body));
     };
-    lit->second.handler(conn.info, msg, std::move(reply));
+    lit->second(conn.info, msg, std::move(reply));
     cd::BufferPool::release(std::move(msg));
   }
   const auto it = connections_.find(key);
@@ -658,15 +656,12 @@ void Host::deliver_tcp(const Packet& packet) {
     if (network_.transport().persistent) {
       conn.state = ConnState::kServerSession;
       conn.session = true;
-      conn.idle_window = lit->second.idle_timeout > 0
-                             ? lit->second.idle_timeout
-                             : network_.transport().idle_timeout;
+      conn.idle_window = network_.transport().idle_timeout;
       conn.last_activity = network_.loop().now();
       conn.idle_event = network_.loop().schedule_in(
           conn.idle_window, [this, key] { idle_check(key); });
       if (network_.transport().dot) {
-        conn.hello_rounds_left =
-            std::max(1, network_.transport().dot_handshake_rtts);
+        conn.hello_rounds_left = kDotHandshakeRtts;
       }
     } else {
       conn.state = ConnState::kServerEstablished;
@@ -706,8 +701,7 @@ void Host::deliver_tcp(const Packet& packet) {
       if (network_.transport().dot) {
         // Pay the handshake before any DNS bytes: hello flights are real
         // stream bytes, one flight each way per round trip.
-        conn.hello_rounds_left =
-            std::max(1, network_.transport().dot_handshake_rtts);
+        conn.hello_rounds_left = kDotHandshakeRtts;
         send_hello(key, conn);
       } else {
         conn.tx_ready = true;
@@ -783,7 +777,7 @@ void Host::deliver_tcp(const Packet& packet) {
                     iss, ack_no, peer_mss, response.spans());
         cd::BufferPool::release(std::move(response.body));
       };
-      lit->second.handler(conn.info, request_bytes, std::move(reply));
+      lit->second(conn.info, request_bytes, std::move(reply));
       cd::BufferPool::release(std::move(request_bytes));
       return;
     }

@@ -171,10 +171,8 @@ class Host {
   /// an accepted connection still carries exactly one exchange (the one-shot
   /// wire shape), the whole request stream arriving as the one message;
   /// with it on, the connection is a session: length-prefix framed,
-  /// pipelined, idle-timed. `idle_timeout` overrides the network-wide
-  /// server idle window for this port (0 = use transport().idle_timeout).
-  void tcp_listen_session(std::uint16_t port, TcpSessionHandler handler,
-                          SimTime idle_timeout = 0);
+  /// pipelined, idle-timed by transport().idle_timeout.
+  void tcp_listen_session(std::uint16_t port, TcpSessionHandler handler);
   /// One-exchange convenience listener: wraps `handler` (which returns its
   /// response synchronously) in a session handler that replies in place.
   void tcp_listen(std::uint16_t port, TcpServerHandler handler);
@@ -232,6 +230,10 @@ class Host {
   /// Bytes in one DoT hello flight (each handshake round trip carries one
   /// flight in each direction, as real stream bytes).
   static constexpr std::size_t kDotHelloBytes = 32;
+  /// Hello round trips each DoT dial pays, and the key-derivation delay
+  /// after the last one before the first DNS byte is sent.
+  static constexpr int kDotHandshakeRtts = 2;
+  static constexpr SimTime kDotSetupCost = kMillisecond;
 
  private:
   struct ConnKey {
@@ -262,10 +264,6 @@ class Host {
     kServerEstablished,
     kClientSession,
     kServerSession,
-  };
-  struct Listener {
-    TcpSessionHandler handler;
-    SimTime idle_timeout = 0;  // 0 = network-wide transport().idle_timeout
   };
   /// A message accepted by tcp_query but not yet written to the stream
   /// (handshake still running, or the pipeline window is full).
@@ -353,7 +351,7 @@ class Host {
   std::string label_;
 
   std::map<std::uint16_t, UdpHandler> udp_handlers_;
-  std::map<std::uint16_t, Listener> tcp_listeners_;
+  std::map<std::uint16_t, TcpSessionHandler> tcp_listeners_;
   std::map<ConnKey, Connection> connections_;
   std::map<SessionKey, ConnKey> sessions_;
   TransportCounters counters_;

@@ -95,14 +95,12 @@ struct TransportOptions {
   int max_pipeline = 8;
   /// Server-side idle window: a session connection with no activity and no
   /// pending responses for this long is closed with a FIN through the
-  /// timing wheel (RFC 7766 §6.1). Per-listener overrides take precedence.
+  /// timing wheel (RFC 7766 §6.1).
   SimTime idle_timeout = 10 * kSecond;
-  /// DoT-like sessions: each dial pays `dot_handshake_rtts` hello round
-  /// trips (kDotHelloBytes of real stream bytes per flight, per direction)
-  /// plus `dot_setup_cost` before the first DNS byte is sent.
+  /// DoT-like sessions: each dial pays Host::kDotHandshakeRtts hello round
+  /// trips (Host::kDotHelloBytes of real stream bytes per flight, per
+  /// direction) plus Host::kDotSetupCost before the first DNS byte is sent.
   bool dot = false;
-  int dot_handshake_rtts = 2;
-  SimTime dot_setup_cost = kMillisecond;
 };
 
 /// Connection-economics counters a host accumulates across its lifetime

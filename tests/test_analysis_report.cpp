@@ -29,20 +29,23 @@ TEST(Report, RendersEverySectionFromRealRun) {
   EXPECT_GT(report.size(), 1500u);
 }
 
-TEST(Report, OptionsDisableSections) {
+TEST(Report, EmptyGeoOrPassiveOmitsItsSection) {
   auto world = ditl::generate_world(ditl::small_world_spec());
   core::Experiment experiment(*world, {});
   const auto& results = experiment.run();
 
-  analysis::ReportOptions options;
-  options.countries = false;
-  options.passive = false;
-  const std::string report = analysis::render_report(
-      results.records, world->targets, world->geo, world->passive_capture,
-      world->public_dns_addrs, options);
-  EXPECT_EQ(report.find("DSAV by country"), std::string::npos);
-  EXPECT_EQ(report.find("Passive cross-check"), std::string::npos);
-  EXPECT_NE(report.find("DSAV prevalence"), std::string::npos);
+  const std::string no_geo = analysis::render_report(
+      results.records, world->targets, analysis::GeoDb{},
+      world->passive_capture, world->public_dns_addrs);
+  EXPECT_EQ(no_geo.find("DSAV by country"), std::string::npos);
+  EXPECT_NE(no_geo.find("Passive cross-check"), std::string::npos);
+
+  const std::string no_passive = analysis::render_report(
+      results.records, world->targets, world->geo, analysis::PassiveCapture{},
+      world->public_dns_addrs);
+  EXPECT_NE(no_passive.find("DSAV by country"), std::string::npos);
+  EXPECT_EQ(no_passive.find("Passive cross-check"), std::string::npos);
+  EXPECT_NE(no_passive.find("DSAV prevalence"), std::string::npos);
 }
 
 TEST(Report, PureFunctionOfInputs) {

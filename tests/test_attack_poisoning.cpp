@@ -415,13 +415,13 @@ TEST(PoisonMonotonicity, SuccessRateFollowsPortEntropy) {
 }
 
 // A poisoned entry carries the attacker's TTL only as far as the victim's
-// cache clamp allows: forged_ttl above CacheConfig::max_ttl must come back
+// cache clamp allows: kForgedTtl above CacheConfig::max_ttl must come back
 // clamped, never verbatim.
 TEST(PoisonMonotonicity, ForgedTtlEntersCacheClamped) {
   PoisonConfig pc;
   pc.rounds = 4;
   pc.burst = 16;
-  ASSERT_GT(pc.forged_ttl, 86'400u);  // the default clamp
+  ASSERT_GT(attack::kForgedTtl, 86'400u);  // the default clamp
   AttackLab lab(pc);
   const IpAddr victim = lab.add_victim(
       0, std::make_unique<resolver::FixedPortAllocator>(4'053),

@@ -264,7 +264,7 @@ cd::resolver::AuthLogEntry entry_for(const QnameCodec& codec,
 
 TEST(CrossCheckCollectorTest, AttributesDirectAndForwardedEvidence) {
   const QnameCodec codec = unit_codec();
-  CrossCheckCollector collector(codec, 10 * cd::sim::kSecond);
+  CrossCheckCollector collector(codec);
 
   QnameInfo info;
   info.ts = 1000;
@@ -295,7 +295,7 @@ TEST(CrossCheckCollectorTest, AttributesDirectAndForwardedEvidence) {
 
 TEST(CrossCheckCollectorTest, FiltersForeignPartialLifetimeAndOtherModes) {
   const QnameCodec codec = unit_codec();
-  CrossCheckCollector collector(codec, 10 * cd::sim::kSecond);
+  CrossCheckCollector collector(codec);
 
   cd::resolver::AuthLogEntry foreign;
   foreign.time = 100;

@@ -84,37 +84,28 @@ TEST(Cache, NegativeNameHit) {
 }
 
 TEST(Cache, Rfc8020AncestorCoversDescendants) {
-  Cache cache;  // rfc8020 on by default
+  Cache cache;
   cache.insert_nxdomain(DnsName::must_parse("x1.dns-lab.org"), 300, 0);
   // This is the paper's §3.6.4 mechanism: the NXDOMAIN for the keyword label
   // suppresses every later experiment query through this resolver.
-  EXPECT_EQ(cache
-                .lookup(DnsName::must_parse("999.aa.bb.1.m0.x1.dns-lab.org"),
-                        RrType::kA, 10 * kSec)
-                .kind,
+  const auto descendant = DnsName::must_parse("999.aa.bb.1.m0.x1.dns-lab.org");
+  EXPECT_EQ(cache.lookup(descendant, RrType::kA, 10 * kSec).kind,
             CacheHitKind::kNegativeName);
+  EXPECT_EQ(
+      cache.lookup(DnsName::must_parse("x1.dns-lab.org"), RrType::kA, 0).kind,
+      CacheHitKind::kNegativeName);
   // Parents and siblings are not covered.
   EXPECT_EQ(cache.lookup(DnsName::must_parse("dns-lab.org"), RrType::kA, 0).kind,
             CacheHitKind::kMiss);
   EXPECT_EQ(
       cache.lookup(DnsName::must_parse("x2.dns-lab.org"), RrType::kA, 0).kind,
       CacheHitKind::kMiss);
-}
-
-TEST(Cache, Rfc8020CanBeDisabled) {
-  dns::CacheConfig config;
-  config.rfc8020 = false;
-  Cache cache(config);
-  cache.insert_nxdomain(DnsName::must_parse("x1.dns-lab.org"), 300, 0);
-  EXPECT_EQ(cache
-                .lookup(DnsName::must_parse("sub.x1.dns-lab.org"), RrType::kA,
-                        0)
-                .kind,
+  // The cover lasts exactly as long as the ancestor's entry: one tick before
+  // the TTL it still holds, at the TTL it is gone.
+  EXPECT_EQ(cache.lookup(descendant, RrType::kA, 300 * kSec - 1).kind,
+            CacheHitKind::kNegativeName);
+  EXPECT_EQ(cache.lookup(descendant, RrType::kA, 300 * kSec).kind,
             CacheHitKind::kMiss);
-  // The exact name still hits.
-  EXPECT_EQ(
-      cache.lookup(DnsName::must_parse("x1.dns-lab.org"), RrType::kA, 0).kind,
-      CacheHitKind::kNegativeName);
 }
 
 TEST(Cache, NegativeTypeHit) {

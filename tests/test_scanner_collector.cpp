@@ -8,7 +8,6 @@ namespace {
 using namespace cd;
 using net::IpAddr;
 using scanner::Collector;
-using scanner::CollectorConfig;
 using scanner::QnameCodec;
 using scanner::QnameInfo;
 using scanner::QueryMode;
@@ -75,7 +74,7 @@ TEST(CategorizeSource, AllCategories) {
 }
 
 TEST(Collector, RecordsInitialHitAndFiresFirstHitOnce) {
-  Collector collector(codec(), {}, nullptr);
+  Collector collector(codec(), nullptr);
   int fired = 0;
   collector.set_first_hit_handler(
       [&](const scanner::TargetRecord& rec, const IpAddr& src) {
@@ -101,9 +100,8 @@ TEST(Collector, RecordsInitialHitAndFiresFirstHitOnce) {
 }
 
 TEST(Collector, LifetimeThresholdExcludes) {
-  CollectorConfig config;
-  config.lifetime_threshold = 10 * sim::kSecond;
-  Collector collector(codec(), config, nullptr);
+  ASSERT_EQ(scanner::kLifetimeThreshold, 10 * sim::kSecond);
+  Collector collector(codec(), nullptr);
   // 11 seconds between probe send and auth arrival: a human replay.
   collector.observe(entry_for(probe("20.0.2.99", "20.0.1.10", 0),
                               IpAddr::must_parse("20.0.1.10"),
@@ -123,7 +121,7 @@ TEST(Collector, QminPartialTrackedByAsn) {
   sim::Topology topo;
   topo.add_as(77);
   topo.announce(77, net::Prefix::must_parse("20.0.0.0/16"));
-  Collector collector(codec(), {}, &topo);
+  Collector collector(codec(), &topo);
 
   resolver::AuthLogEntry entry;
   entry.time = 100;
@@ -137,7 +135,7 @@ TEST(Collector, QminPartialTrackedByAsn) {
 }
 
 TEST(Collector, ForeignNamesIgnored) {
-  Collector collector(codec(), {}, nullptr);
+  Collector collector(codec(), nullptr);
   resolver::AuthLogEntry entry;
   entry.qname = dns::DnsName::must_parse("www.example.com");
   collector.observe(entry);
@@ -146,7 +144,7 @@ TEST(Collector, ForeignNamesIgnored) {
 }
 
 TEST(Collector, PortSamplesOnlyDirectSameFamilyFollowups) {
-  Collector collector(codec(), {}, nullptr);
+  Collector collector(codec(), nullptr);
   const auto dst = IpAddr::must_parse("20.0.1.10");
   // Direct v4-only follow-up: port recorded.
   collector.observe(entry_for(probe("20.0.2.99", "20.0.1.10", 0,
@@ -165,7 +163,7 @@ TEST(Collector, PortSamplesOnlyDirectSameFamilyFollowups) {
 }
 
 TEST(Collector, ForwardingFlagsUseFamilyForcedFollowupsOnly) {
-  Collector collector(codec(), {}, nullptr);
+  Collector collector(codec(), nullptr);
   const auto dst = IpAddr::must_parse("20.0.1.10");
   // Initial query via another client must NOT set forwarded.
   collector.observe(entry_for(probe("20.0.2.99", "20.0.1.10", 0),
@@ -180,7 +178,7 @@ TEST(Collector, ForwardingFlagsUseFamilyForcedFollowupsOnly) {
       IpAddr::must_parse("8.8.8.8")));
   // v6-only follow-up answered from the host's *v4* address: family
   // mismatch, inconclusive, must not mark anything.
-  Collector c2(codec(), {}, nullptr);
+  Collector c2(codec(), nullptr);
   c2.observe(entry_for(probe("2400:1::9", "2400:1::10", 0,
                              QueryMode::kV6Only),
                        IpAddr::must_parse("20.0.1.10"), 1000));
@@ -190,7 +188,7 @@ TEST(Collector, ForwardingFlagsUseFamilyForcedFollowupsOnly) {
 }
 
 TEST(Collector, OpenHitAndTcpSyn) {
-  Collector collector(codec(), {}, nullptr);
+  Collector collector(codec(), nullptr);
   const auto dst = IpAddr::must_parse("20.0.1.10");
   collector.observe(entry_for(probe("203.98.0.10", "20.0.1.10", 0,
                                     QueryMode::kOpen),
@@ -206,7 +204,7 @@ TEST(Collector, OpenHitAndTcpSyn) {
   EXPECT_TRUE(rec.tcp_syn->tcp_flags.syn);
 
   // A forwarded TCP query must not override attribution.
-  Collector c2(codec(), {}, nullptr);
+  Collector c2(codec(), nullptr);
   c2.observe(entry_for(probe("20.0.2.99", "20.0.1.10", 0, QueryMode::kTcp),
                        IpAddr::must_parse("8.8.8.8"), 1000, 4242, true));
   EXPECT_FALSE(c2.records().at(dst).tcp_hit);
@@ -218,7 +216,7 @@ TEST(Collector, ClientInTargetAsFlag) {
   topo.announce(100, net::Prefix::must_parse("20.0.0.0/16"));
   topo.add_as(200);
   topo.announce(200, net::Prefix::must_parse("8.8.8.0/24"));
-  Collector collector(codec(), {}, &topo);
+  Collector collector(codec(), &topo);
   const auto dst = IpAddr::must_parse("20.0.1.10");
   // Query from a *different* host in the same AS (middlebox §3.6.1 case).
   collector.observe(entry_for(probe("20.0.2.99", "20.0.1.10", 0),

@@ -3,7 +3,7 @@
 // Pins the §3.5 battery contract: on a target's FIRST reachability hit — and
 // only the first — the engine sends 10 IPv4-only-delegation queries, 10
 // IPv6-only-delegation queries, one non-spoofed open-resolver check, and one
-// TC-eliciting query, spaced `FollowupConfig::spacing` apart and reusing the
+// TC-eliciting query, spaced `kFollowupSpacing` apart and reusing the
 // spoofed source that hit.
 #include <gtest/gtest.h>
 
@@ -51,7 +51,7 @@ struct Fixture {
                           scanner::SourceSelectConfig{}, rng.split("select")};
   Prober prober{*world->vantage, codec, selector, scanner::ProbeConfig{},
                 rng.split("probe")};
-  Collector collector{codec, scanner::CollectorConfig{}, &world->topology};
+  Collector collector{codec, &world->topology};
   FollowupEngine engine{prober, collector, FollowupConfig{}};
 
   /// Battery queries sent toward `target`, keyed off the embedded qname.
@@ -153,10 +153,9 @@ TEST(Followup, QueriesAreSpacedOneSecondApartInModeOrder) {
 
   const auto& queries = f.sent.at(target.addr);
   ASSERT_EQ(queries.size(), 22u);
-  const FollowupConfig config;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(queries[i].at,
-              static_cast<sim::SimTime>(i + 1) * config.spacing)
+              static_cast<sim::SimTime>(i + 1) * scanner::kFollowupSpacing)
         << "query " << i;
     const QueryMode expect = i < 10   ? QueryMode::kV4Only
                              : i < 20 ? QueryMode::kV6Only

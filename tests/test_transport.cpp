@@ -370,15 +370,15 @@ TEST(TransportDot, HandshakePaysBytesAndSetupDelayOncePerConnection) {
   run_one(true, dot_at, dot);
 
   EXPECT_EQ(plain.handshake_bytes, 0u);
-  // One connection, default 2 handshake round trips: each side sends one
+  // One connection, kDotHandshakeRtts (2) round trips: each side sends one
   // 32-byte hello flight per round — and the reused second message adds
   // nothing.
   EXPECT_EQ(dot.dials, 1u);
-  EXPECT_EQ(dot.handshake_bytes,
-            (dot.dials + dot.accepts) * 2 * Host::kDotHelloBytes);
+  EXPECT_EQ(dot.handshake_bytes, (dot.dials + dot.accepts) *
+                                     Host::kDotHandshakeRtts *
+                                     Host::kDotHelloBytes);
   // The handshake round trips plus the setup cost delay the first DNS byte.
-  const TransportOptions defaults = persistent_options();
-  EXPECT_GE(dot_at, plain_at + defaults.dot_setup_cost);
+  EXPECT_GE(dot_at, plain_at + Host::kDotSetupCost);
 }
 
 // --- one-shot fallback -------------------------------------------------------

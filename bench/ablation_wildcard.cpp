@@ -14,12 +14,12 @@ struct Outcome {
 };
 
 Outcome run_variant(bool wildcard) {
-  using namespace cd;
-  auto run = cd::bench::run_standard_experiment(/*scale=*/0.5, wildcard);
+  auto run = cd::bench::run_standard_experiment(
+      {.scale = 0.5, .wildcard_answers = wildcard});
   Outcome out;
-  out.qmin_partial = run.results->collector_stats.qmin_partial;
-  out.qmin_asns = run.results->qmin_asns.size();
-  for (const auto& [addr, rec] : run.results->records) {
+  out.qmin_partial = run.results.collector_stats.qmin_partial;
+  out.qmin_asns = run.results.qmin_asns.size();
+  for (const auto& [addr, rec] : run.results.records) {
     if (!rec.reachable()) continue;
     ++out.reachable_targets;
     const auto it = run.world->truth_resolvers.find(addr);

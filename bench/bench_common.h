@@ -43,6 +43,16 @@ T parse_number(std::string_view flag, std::string_view text,
   return value;
 }
 
+/// Strict path flag value: an empty `text` prints an error naming `flag` and
+/// exits with status 2, before a campaign runs only to fail at the end.
+inline std::string parse_path(const char* flag, const char* text) {
+  if (*text == '\0') {
+    std::fprintf(stderr, "error: empty value for %s\n", flag);
+    std::exit(2);
+  }
+  return text;
+}
+
 /// Command-line knobs shared by the table/figure benches.
 struct RunOptions {
   double scale = 1.0;  // multiplies the AS count
@@ -50,8 +60,8 @@ struct RunOptions {
   std::uint64_t seed = 42;
   std::size_t shards = 1;   // AS-partitioned campaign shards
   std::size_t threads = 1;  // worker threads for the sharded runner
-  /// When set, the campaign records its wire traffic (results->capture).
-  std::optional<cd::core::CaptureSpec> capture;
+  /// When set, the campaign records its wire traffic (results.capture).
+  std::optional<cd::core::CaptureSpec> capture = std::nullopt;
 };
 
 /// Parses --scale=X --seed=N --threads=N --shards=N (unknown args ignored,
@@ -84,21 +94,14 @@ inline RunOptions parse_run_options(int argc, char** argv) {
   return opt;
 }
 
-/// A generated world plus completed experiment results. In sharded mode
-/// (`options.threads > 1` or `options.shards > 1`) the campaign runs via
-/// core::run_sharded_experiment; `world` is then the reference world —
-/// identical to every shard's, used for target lists, geo and ground truth —
-/// and `experiment` is null.
+/// The reference world (shard 0 of 1: target lists, geo and ground truth)
+/// plus the merged results of core::run_sharded_experiment over it.
 struct Run {
   std::unique_ptr<cd::ditl::World> world;
-  std::unique_ptr<cd::core::Experiment> experiment;
-  const cd::core::ExperimentResults* results = nullptr;
-  cd::core::ExperimentResults merged;  // storage for the sharded path
+  cd::core::ExperimentResults results;
 };
 
-inline Run run_standard_experiment(const RunOptions& options) {
-  using clock = std::chrono::steady_clock;
-
+inline Run run_standard_experiment(const RunOptions& options = {}) {
   cd::ditl::WorldSpec spec = cd::ditl::bench_world_spec();
   spec.n_asns = static_cast<int>(spec.n_asns * options.scale);
   if (spec.n_asns < 1) {
@@ -112,66 +115,41 @@ inline Run run_standard_experiment(const RunOptions& options) {
   cd::core::ExperimentConfig config;
   config.analyst = cd::scanner::AnalystConfig{};
   config.capture = options.capture;
+  config.num_shards = options.shards;
+  config.num_threads = options.threads;
 
-  const auto t0 = clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
   Run run;
   run.world = cd::ditl::generate_world(spec);
-  const auto t1 = clock::now();
+  const std::chrono::duration<double, std::milli> gen =
+      std::chrono::steady_clock::now() - t0;
 
-  const auto ms = [](auto a, auto b) {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(b - a).count();
-  };
-
-  const bool sharded = options.threads > 1 || options.shards > 1;
-  long long campaign_ms = 0;
-  if (sharded) {
-    config.num_shards = options.shards;
-    config.num_threads = options.threads;
-    cd::core::ShardedResults out = cd::core::run_sharded_experiment(spec, config);
-    campaign_ms = static_cast<long long>(out.wall_ms);
-    std::printf("# shards: %zu on %zu threads\n", options.shards,
-                options.threads);
-    for (const cd::core::ShardTiming& s : out.shards) {
-      std::printf("#   shard %zu: %zu targets, gen %.0fms, run %.0fms",
-                  s.shard, s.targets, s.gen_ms, s.run_ms);
-      if (s.spill_ms > 0) std::printf(", spill %.0fms", s.spill_ms);
-      std::printf(", peak RSS %zu KiB\n", s.peak_rss_kb);
-    }
-    std::printf("# wall %.0fms, merge %.0fms, aggregate shard time %.0fms "
-                "(parallel speedup est. %.2fx), peak RSS %zu KiB\n",
-                out.wall_ms, out.merge_ms, out.aggregate_ms(),
-                out.wall_ms > 0 ? out.aggregate_ms() / out.wall_ms : 0.0,
-                out.peak_rss_kb);
-    run.merged = std::move(out.merged);
-    run.results = &run.merged;
-  } else {
-    run.experiment = std::make_unique<cd::core::Experiment>(*run.world, config);
-    run.results = &run.experiment->run();
-    campaign_ms = ms(t1, clock::now());
+  cd::core::ShardedResults out = cd::core::run_sharded_experiment(spec, config);
+  std::printf("# shards: %zu on %zu threads\n", config.num_shards,
+              config.num_threads);
+  for (const cd::core::ShardTiming& s : out.shards) {
+    std::printf("#   shard %zu: %zu targets, gen %.0fms, run %.0fms, "
+                "peak RSS %zu KiB\n",
+                s.shard, s.targets, s.gen_ms, s.run_ms, s.peak_rss_kb);
   }
+  std::printf("# wall %.0fms, merge %.0fms, aggregate shard time %.0fms "
+              "(parallel speedup est. %.2fx), peak RSS %zu KiB\n",
+              out.wall_ms, out.merge_ms, out.aggregate_ms(),
+              out.wall_ms > 0 ? out.aggregate_ms() / out.wall_ms : 0.0,
+              out.peak_rss_kb);
+  run.results = std::move(out.merged);
 
   std::printf(
       "# world: %zu ASes, %zu resolvers, %zu targets (gen %lldms)\n"
       "# campaign: %llu probes, %llu auth queries observed (run %lldms), "
       "digest %016llx\n\n",
       run.world->topology.as_count(), run.world->resolvers.size(),
-      run.world->targets.size(), static_cast<long long>(ms(t0, t1)),
-      static_cast<unsigned long long>(run.results->queries_sent),
-      static_cast<unsigned long long>(run.results->collector_stats.entries_seen),
-      campaign_ms,
-      static_cast<unsigned long long>(cd::core::results_digest(*run.results)));
+      run.world->targets.size(), static_cast<long long>(gen.count()),
+      static_cast<unsigned long long>(run.results.queries_sent),
+      static_cast<unsigned long long>(run.results.collector_stats.entries_seen),
+      static_cast<long long>(out.wall_ms),
+      static_cast<unsigned long long>(cd::core::results_digest(run.results)));
   return run;
-}
-
-/// Legacy entry point used by benches without campaign-shaping flags.
-inline Run run_standard_experiment(double scale = 1.0,
-                                   bool wildcard_answers = false,
-                                   std::uint64_t seed = 42) {
-  RunOptions options;
-  options.scale = scale;
-  options.wildcard_answers = wildcard_answers;
-  options.seed = seed;
-  return run_standard_experiment(options);
 }
 
 /// "measured (paper: X)" cell helper.

@@ -62,6 +62,7 @@
 namespace {
 
 using cd::bench::parse_number;
+using cd::bench::parse_path;
 using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point start) {
@@ -111,9 +112,9 @@ Options parse(int argc, char** argv) {
       opt.transport_window =
           parse_number<std::uint32_t>("--transport-window", arg + 19);
     } else if (std::strncmp(arg, "--spill-dir=", 12) == 0) {
-      opt.spill_dir = arg + 12;
+      opt.spill_dir = parse_path("--spill-dir", arg + 12);
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      opt.out = arg + 6;
+      opt.out = parse_path("--out", arg + 6);
     } else if (std::strcmp(arg, "--paper") == 0) {
       opt.asns = 62000;   // §3.1: ~62k ASes behind the 13.6M scanned addrs
       opt.mean = 17.6;    // → ~12M DITL targets after exclusions

@@ -11,7 +11,7 @@ int main() {
   auto run = bench::run_standard_experiment();
 
   const auto samples = analysis::range_samples(
-      run.results->records, analysis::P0fDatabase::standard());
+      run.results.records, analysis::P0fDatabase::standard());
 
   analysis::StackedHistogram full(0, 65535, 1000, {"closed", "open"});
   analysis::StackedHistogram zoom(0, 3000, 50, {"closed", "open"});

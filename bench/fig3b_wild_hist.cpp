@@ -12,7 +12,7 @@ int main() {
   std::printf("== fig3b_wild_hist: paper Figure 3b ==\n");
   auto run = bench::run_standard_experiment();
   const auto& p0f = analysis::P0fDatabase::standard();
-  const auto samples = analysis::range_samples(run.results->records, p0f);
+  const auto samples = analysis::range_samples(run.results.records, p0f);
 
   constexpr int kBin = 500;
   analysis::StackedHistogram hist(0, 65535, kBin,
@@ -56,7 +56,7 @@ int main() {
   std::uint64_t windows_band_adjusted = 0;
   std::uint64_t windows_band_raw = 0;
   std::uint64_t wrap_applied = 0;
-  for (const auto& [addr, rec] : run.results->records) {
+  for (const auto& [addr, rec] : run.results.records) {
     if (!rec.reachable() || !rec.tcp_syn) continue;
     if (p0f.classify(*rec.tcp_syn) != analysis::P0fClass::kWindows) continue;
     const auto ports = analysis::combined_ports(rec);

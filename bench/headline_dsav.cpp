@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   using namespace cd;
   std::printf("== headline_dsav: paper §4, §5.1, §5.4, §3.6 ==\n");
   auto run = bench::run_standard_experiment(bench::parse_run_options(argc, argv));
-  const auto& results = *run.results;
+  const auto& results = run.results;
   const auto& targets = run.world->targets;
 
   const auto summary = analysis::summarize_dsav(results.records, targets);

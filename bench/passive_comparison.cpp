@@ -10,6 +10,7 @@
 // what a root operator's tap yields after filtering to DNS — the
 // export-replay loop scripts/pcap_replay.sh exercises end to end.
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "analysis/passive.h"
@@ -53,21 +54,26 @@ int main(int argc, char** argv) {
   using namespace cd;
   std::printf("== passive_comparison: paper §5.2.2 ==\n");
 
-  std::string pcap_path;
+  std::optional<analysis::PassiveCapture> replayed;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--pcap=", 7) == 0) pcap_path = argv[i] + 7;
+    if (std::strncmp(argv[i], "--pcap=", 7) != 0) continue;
+    // Read before the campaign, so a bad path fails in milliseconds.
+    const std::string path = bench::parse_path("--pcap", argv[i] + 7);
+    try {
+      replayed = passive_from_pcap(path);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "error: --pcap=%s: %s\n", path.c_str(), e.what());
+      return 2;
+    }
   }
 
   auto run = bench::run_standard_experiment(bench::parse_run_options(argc, argv));
 
-  const analysis::PassiveCapture replayed =
-      pcap_path.empty() ? analysis::PassiveCapture{}
-                        : passive_from_pcap(pcap_path);
   const analysis::PassiveCapture& old_capture =
-      pcap_path.empty() ? run.world->passive_capture : replayed;
+      replayed ? *replayed : run.world->passive_capture;
 
   const auto cmp =
-      analysis::compare_with_passive(run.results->records, old_capture);
+      analysis::compare_with_passive(run.results.records, old_capture);
 
   TextTable t({"Metric", "Measured", "Paper"});
   t.set_align(1, Align::kRight);

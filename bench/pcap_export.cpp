@@ -6,10 +6,10 @@
 //   pcap_export --scale=0.05 --seed=42 --out=campaign.pcap [--probes-only]
 //               [--no-drops] [--shards=N --threads=N]
 //
-// Sharded runs merge per-shard captures into canonical order; for the probe
-// plane (--probes-only) the merged file is byte-identical to a serial run's
-// — the same guarantee tests/test_core_parallel.cpp pins, available from
-// the command line for quick cross-machine comparison via capture digest.
+// Multi-shard runs merge per-shard captures into canonical order; for the
+// probe plane (--probes-only) the merged file is byte-identical to one
+// shard's — the same guarantee tests/test_core_parallel.cpp pins, available
+// from the command line for quick cross-machine comparison via capture digest.
 #include <cstring>
 #include <map>
 #include <string>
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   core::CaptureSpec capture;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out = argv[i] + 6;
+      out = bench::parse_path("--out", argv[i] + 6);
     } else if (std::strcmp(argv[i], "--probes-only") == 0) {
       capture.probes_only = true;
     } else if (std::strcmp(argv[i], "--no-drops") == 0) {
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   options.capture = capture;
   const bench::Run run = bench::run_standard_experiment(options);
 
-  const pcap::Capture& cap = run.results->capture;
+  const pcap::Capture& cap = run.results.capture;
   pcap::write_capture(cap, out);
 
   std::map<std::uint8_t, std::uint64_t> by_fate;

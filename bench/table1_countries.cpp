@@ -10,7 +10,7 @@ int main() {
   std::printf("== table1_countries: paper Table 1 ==\n");
   auto run = bench::run_standard_experiment();
 
-  auto rows = analysis::dsav_by_country(run.results->records,
+  auto rows = analysis::dsav_by_country(run.results.records,
                                         run.world->targets, run.world->geo);
   std::sort(rows.begin(), rows.end(),
             [](const analysis::CountryRow& a, const analysis::CountryRow& b) {

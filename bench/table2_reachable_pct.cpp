@@ -10,7 +10,7 @@ int main() {
   std::printf("== table2_reachable_pct: paper Table 2 ==\n");
   auto run = bench::run_standard_experiment();
 
-  auto rows = analysis::dsav_by_country(run.results->records,
+  auto rows = analysis::dsav_by_country(run.results.records,
                                         run.world->targets, run.world->geo);
   // Rank by reachable-IP percentage, requiring a minimal population so a
   // single lucky resolver cannot top the list.

@@ -8,7 +8,7 @@ int main() {
   std::printf("== table3_categories: paper Table 3 ==\n");
   auto run = bench::run_standard_experiment();
 
-  const auto table = analysis::build_category_table(run.results->records,
+  const auto table = analysis::build_category_table(run.results.records,
                                                     run.world->targets);
 
   // Paper values: {category} -> {v4 incl addr%, v6 incl addr%, v4 excl

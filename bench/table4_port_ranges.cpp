@@ -9,7 +9,7 @@ int main() {
   using namespace cd;
   std::printf("== table4_port_ranges: paper Table 4, §5.2.1, §5.2.3 ==\n");
   auto run = bench::run_standard_experiment();
-  const auto& records = run.results->records;
+  const auto& records = run.results.records;
   const auto& p0f = analysis::P0fDatabase::standard();
 
   const auto table = analysis::build_table4(records, p0f);

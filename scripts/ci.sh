@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: plain build + full test suite, then three sanitizer
-# builds — ThreadSanitizer over the sharded-runner tests (label
-# "parallel") plus the streaming-TCP suite (label "tcp", whose golden
-# campaign pins run through the sharded runner), the persistent-transport
+# CI entry point: plain build + full test suite, a compile of the
+# perfbench campaign driver, then three sanitizer builds —
+# ThreadSanitizer over the sharded-runner tests (label "parallel") plus
+# the streaming-TCP suite (label "tcp", whose golden campaign pins run
+# through the sharded runner), the persistent-transport
 # suite (label "transport", whose campaign differential does the same with
 # pipelined sessions) and the event-core suite (label "eventcore"),
 # AddressSanitizer over the fuzz + pcap + batched-delivery + tcp +
@@ -40,6 +41,13 @@ echo "=== plain build + ctest ==="
 cmake -B "${PREFIX}" -S . >/dev/null
 cmake --build "${PREFIX}" -j
 ctest --test-dir "${PREFIX}" --output-on-failure -j
+
+echo "=== perfbench driver compiles against src/ ==="
+# The benchmark builds perfbench/campaign.cpp on its own against the
+# library sources; compiling it here makes a src/ API change that breaks
+# the driver fail CI rather than the benchmark run. Compile only.
+cmake -B "${PREFIX}-perfbench" -S perfbench >/dev/null
+cmake --build "${PREFIX}-perfbench" -j
 
 echo "=== TSan build + parallel/tcp/transport/eventcore-label ctest ==="
 # The eventcore label covers the sharded golden-digest campaigns: each

@@ -226,7 +226,7 @@ const ExperimentResults& Experiment::run() {
   }
 
   // The world's target list is exactly its shard's slice (the whole campaign
-  // for a full world), so every plane schedules it unfiltered.
+  // for shard 0 of 1), so every plane schedules it unfiltered.
   prober_->schedule_campaign(world_.targets);
   if (crosscheck_prober_) {
     // The cross-check plane enumerates its /24 universe from the campaign
@@ -280,11 +280,13 @@ const ExperimentResults& Experiment::run() {
   // Deterministic teardown: run() returned, so the loop is drained (it
   // throws at kMaxEventsPerShard instead of returning early), and every
   // connection on every host has completed, timed out, or been idle-closed
-  // — a leaked entry means a stray timer or session index entry.
-  // Conservation: every packet sent was either delivered or dropped for
-  // exactly one reason.
+  // — a leaked entry means a stray timer or session index entry. No
+  // delivery slot outlives its drain event either. Conservation: every
+  // packet sent was either delivered or dropped for exactly one reason.
   CD_ENSURE(world_.network->open_tcp_connections() == 0,
             "Experiment: TCP connections leaked past the drained loop");
+  CD_ENSURE(world_.network->pending_delivery_slots() == 0,
+            "Experiment: delivery slots pending past the drained loop");
   const cd::sim::NetworkStats& net = results.network_stats;
   CD_ENSURE(net.sent == net.delivered + net.dropped(),
             "Experiment: packets sent != delivered + dropped at drain");

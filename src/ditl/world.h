@@ -1,4 +1,5 @@
-// The generated world: a complete simulated Internet ready for scanning.
+// The generated world: a simulated Internet, or one shard's slice of it,
+// ready for scanning.
 #pragma once
 
 #include <cstdint>
@@ -122,7 +123,7 @@ class ResolverTruthTable {
 /// network (and loop/topology) must be declared first.
 struct World {
   WorldSpec spec;
-  /// Shard scope this world was generated for: (0, 1) is the full world;
+  /// Shard scope this world was generated for: (0, 1) is the whole world;
   /// anything else materializes only the edge ASes of that shard (topology,
   /// geo and the per-AS truth tables always cover every AS). The only
   /// record of the scope: core::Experiment reads it for planes that
@@ -154,11 +155,10 @@ struct World {
   cd::dns::DnsName base_zone;
   std::string keyword;
 
-  /// Raw DITL-style capture (resolver sources plus stale noise; a full
-  /// world also carries the special/unrouted noise that pre-scan filtering
-  /// drops), and the post-exclusion target list actually probed. A shard
-  /// world's lists cover only its own ASes.
-  std::vector<cd::net::IpAddr> ditl_raw;
+  /// The probe target list: the slice's DITL-style capture (resolver
+  /// sources plus stale noise) after the paper's pre-scan exclusions
+  /// (filter_ditl), each target annotated with its routed origin AS. A
+  /// shard world's list covers only its own ASes.
   std::vector<cd::scanner::TargetInfo> targets;
   std::vector<cd::net::IpAddr> hitlist_v6;
   /// Synthetic 18-months-earlier capture: per-resolver historical source
@@ -177,23 +177,17 @@ struct World {
   World& operator=(const World&) = delete;
 };
 
-/// Builds the full world for `spec`. Deterministic: equal specs (including
-/// seed) produce identical worlds.
-[[nodiscard]] std::unique_ptr<World> generate_world(const WorldSpec& spec);
-
 /// Builds one shard's world from the target stream: shared infrastructure
 /// (roots, public DNS, vantage) plus only the edge ASes with
 /// shard_of(asn, num_shards) == shard materialize hosts, resolvers, truth
 /// rows and targets. Topology, geo, truth_dsav and ids_asns always cover
 /// every AS (routing, geolocation and the analyst need the full map; it is
-/// O(n_asns), not O(targets)). Campaign behaviour is bit-identical to
-/// running the same shard against a full world — no packet ever addresses
-/// an out-of-shard edge host — which tests/test_campaign_stream.cpp pins.
-/// (shard=0, num_shards=1) differs from generate_world(spec) only in
-/// skipping the special/unrouted ditl_raw noise that target filtering drops
-/// anyway.
-[[nodiscard]] std::unique_ptr<World> generate_world(const WorldSpec& spec,
-                                                    std::size_t shard,
-                                                    std::size_t num_shards);
+/// O(n_asns), not O(targets)). The default (shard=0, num_shards=1) is the
+/// whole world. Deterministic: equal specs (including seed) produce
+/// identical worlds, and a shard's campaign behaves exactly as it would
+/// against the whole world — no packet ever addresses an out-of-shard edge
+/// host — which tests/test_campaign_stream.cpp pins.
+[[nodiscard]] std::unique_ptr<World> generate_world(
+    const WorldSpec& spec, std::size_t shard = 0, std::size_t num_shards = 1);
 
 }  // namespace cd::ditl

@@ -7,7 +7,6 @@
 #include "ditl/ditl.h"
 #include "ditl/plan.h"
 #include "ditl/target_stream.h"
-#include "net/special.h"
 #include "util/error.h"
 
 namespace cd::ditl {
@@ -53,24 +52,23 @@ constexpr PublicDnsSpec kPublicDns[kNumPublicDns] = {
      "2620:119::/32"},
 };
 
-/// Builds a world — full, or one shard's streamed slice. Shared
-/// infrastructure (roots, public DNS services, vantage) is built
-/// identically in every mode from the root RNG; edge ASes come from the
-/// campaign plan and the target stream, whose per-AS substreams make any
-/// subset reproducible (see ditl/target_stream.h).
+/// Builds one shard's streamed slice of the world (shard 0 of 1 is the
+/// whole world). Shared infrastructure (roots, public DNS services, vantage)
+/// is built identically in every shard from the root RNG; edge ASes come
+/// from the campaign plan and the target stream, whose per-AS substreams
+/// make any subset reproducible (see ditl/target_stream.h).
 class WorldBuilder {
  public:
   WorldBuilder(const WorldSpec& spec, std::size_t shard,
-               std::size_t num_shards, bool full)
+               std::size_t num_shards)
       : spec_(spec),
         shard_(shard),
-        num_shards_(full ? 1 : std::max<std::size_t>(1, num_shards)),
-        full_(full),
+        num_shards_(num_shards),
         rng_(spec.seed),
         w_(std::make_unique<World>()) {
     w_->spec = spec_;
-    w_->shard_index = full ? 0 : shard;
-    w_->num_shards = num_shards_;
+    w_->shard_index = shard;
+    w_->num_shards = num_shards;
   }
 
   std::unique_ptr<World> build() {
@@ -85,9 +83,8 @@ class WorldBuilder {
     plan_ = build_campaign_plan(spec_);
     register_edge_ases();
     build_edge_fleets();
-    if (full_) build_global_noise();
     w_->truth_resolvers.freeze();
-    w_->targets = filter_ditl(w_->ditl_raw, w_->topology);
+    w_->targets = filter_ditl(ditl_raw_, w_->topology);
     return std::move(w_);
   }
 
@@ -320,10 +317,7 @@ class WorldBuilder {
       for (const ResolverSpec& r : *batch->resolvers) {
         materialize_resolver(batch->id, asn, r, as_infra);
       }
-      for (const IpAddr& addr : *batch->stale) {
-        w_->ditl_raw.push_back(addr);
-      }
-      captured_live_ += batch->captured_live;
+      for (const IpAddr& addr : *batch->stale) ditl_raw_.push_back(addr);
     }
   }
 
@@ -397,7 +391,7 @@ class WorldBuilder {
       truth.qmin = r.qmin;
       truth.band = r.band;
       w_->truth_resolvers.insert(addr, truth);
-      if (r.in_capture[a]) w_->ditl_raw.push_back(addr);
+      if (r.in_capture[a]) ditl_raw_.push_back(addr);
       if (r.in_hitlist[a]) w_->hitlist_v6.push_back(addr);
       if (r.n_old_ports[a] > 0) {
         w_->passive_capture.emplace(
@@ -408,46 +402,16 @@ class WorldBuilder {
     }
   }
 
-  // --- global DITL noise (full worlds only) ----------------------------------
-
-  /// Special-purpose and unrouted capture noise. Both classes are dropped
-  /// by pre-scan filtering, so shard worlds skip them entirely; they only
-  /// shape ditl_raw and the exclusion statistics of full worlds.
-  void build_global_noise() {
-    cd::Rng rng = rng_.split("noise");
-    const std::size_t live = captured_live_;
-
-    const auto n_special = static_cast<std::size_t>(
-        static_cast<double>(live) * spec_.special_per_live);
-    for (std::size_t i = 0; i < n_special; ++i) {
-      static const char* kSpecialBases[] = {"10.0.0.0/8", "192.168.0.0/16",
-                                            "172.16.0.0/12", "100.64.0.0/10"};
-      const Prefix p = Prefix::must_parse(kSpecialBases[rng.uniform(4)]);
-      w_->ditl_raw.push_back(p.base().offset_by(1 + rng.uniform(65000)));
-    }
-
-    const auto n_unrouted = static_cast<std::size_t>(
-        static_cast<double>(live) * spec_.unrouted_per_live);
-    for (std::size_t i = 0; i < n_unrouted; ++i) {
-      // 11.0.0.0/8 is deliberately never announced in this world.
-      w_->ditl_raw.push_back(
-          IpAddr::v4((11u << 24) + static_cast<std::uint32_t>(
-                                       rng.uniform(1u << 24))));
-    }
-
-    // Shuffle the capture so processing order carries no structure.
-    rng.shuffle(w_->ditl_raw);
-  }
-
   const WorldSpec spec_;
   std::size_t shard_;
   std::size_t num_shards_;
-  bool full_;
   cd::Rng rng_;
   std::unique_ptr<World> w_;
   std::unique_ptr<CampaignPlan> plan_;
   std::map<OsId, const OsProfile*> hidden_os_;
-  std::size_t captured_live_ = 0;
+  /// Raw DITL-style capture of this slice: resolver sources plus stale
+  /// noise. filter_ditl turns it into the world's target list.
+  std::vector<IpAddr> ditl_raw_;
 };
 
 }  // namespace
@@ -508,8 +472,6 @@ WorldSpec small_world_spec() {
   spec.n_asns = 30;
   spec.resolvers_per_as_mean = 3.0;
   spec.stale_per_live = 1.0;
-  spec.special_per_live = 0.2;
-  spec.unrouted_per_live = 0.1;
   spec.qmin_fraction = 0.02;  // enough instances to exercise the code path
   spec.ids_fraction = 0.1;
   return spec;
@@ -530,15 +492,11 @@ WorldSpec bench_world_spec() {
   return spec;
 }
 
-std::unique_ptr<World> generate_world(const WorldSpec& spec) {
-  return WorldBuilder(spec, 0, 1, /*full=*/true).build();
-}
-
 std::unique_ptr<World> generate_world(const WorldSpec& spec, std::size_t shard,
                                       std::size_t num_shards) {
   CD_ENSURE(num_shards > 0 && shard < num_shards,
             "generate_world: bad shard spec");
-  return WorldBuilder(spec, shard, num_shards, /*full=*/false).build();
+  return WorldBuilder(spec, shard, num_shards).build();
 }
 
 }  // namespace cd::ditl

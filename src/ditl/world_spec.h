@@ -40,13 +40,11 @@ struct WorldSpec {
   double dual_stack_fraction = 0.75;
 
   // --- DITL capture noise (paper §3.1/§3.6.2) --------------------------------
+  // The capture holds only routed, non-special sources: the paper drops
+  // special-purpose and unrouted ones before it scans, so the generator
+  // never plants them (filter_ditl's exclusions are unit-tested directly).
   /// Stale capture entries (once-resolvers, now dark) per live target.
   double stale_per_live = 8.5;
-  /// Special-purpose source addresses per live target (excluded pre-scan;
-  /// the paper dropped ~4M of ~16M).
-  double special_per_live = 0.35;
-  /// Unrouted source addresses per live target.
-  double unrouted_per_live = 0.05;
   /// Live resolvers missing from the capture (DITL is not comprehensive:
   /// not every root participates, caches absorb root queries).
   double capture_miss = 0.08;

@@ -186,6 +186,12 @@ class Network {
   /// every exchange completed, timed out, or idle-closed).
   [[nodiscard]] std::size_t open_tcp_connections() const;
 
+  /// (arrival time, host) delivery slots still waiting for their drain
+  /// event — zero once the event loop has drained.
+  [[nodiscard]] std::size_t pending_delivery_slots() const {
+    return pending_.size();
+  }
+
   /// Aggregated TransportCounters across every attached host.
   [[nodiscard]] TransportCounters transport_counters() const;
 

@@ -1,6 +1,6 @@
 // The bounded-memory campaign guarantees: streamed shard worlds and
 // disk-spilled shard results must be invisible in the evidence — digests
-// equal to the goldens materialized full worlds reproduced, and spilled
+// equal to the goldens materialized shard worlds reproduced, and spilled
 // merges bit-identical to in-memory ones, for every (seed, shards) tested —
 // and the spill codec must be a strict round-trip that can never parse a
 // truncated file as partial results.
@@ -70,7 +70,7 @@ TEST(CampaignStream, StreamedWorldsMatchGoldenDigests) {
       ASSERT_GT(streamed.merged.records.size(), 0u);
       EXPECT_EQ(results_digest(streamed.merged), want.results)
           << "seed=" << seed << " shards=" << shards;
-      // Same shard partition as the materialized path, so even the *full*
+      // Same shard partition as the materialized worlds, so even the *full*
       // capture — probe plane plus resolver traffic — is pinned.
       EXPECT_EQ(capture_digest(streamed.merged.capture), want.capture)
           << "seed=" << seed << " shards=" << shards;
@@ -80,7 +80,7 @@ TEST(CampaignStream, StreamedWorldsMatchGoldenDigests) {
 
 TEST(CampaignStream, ShardWorldsPartitionTheFullWorldsTargets) {
   const auto spec = test_spec(42);
-  const auto full = cd::ditl::generate_world(spec);
+  const auto full = cd::ditl::generate_world(spec);  // shard 0 of 1
   std::set<cd::net::IpAddr> full_targets;
   for (const auto& t : full->targets) full_targets.insert(t.addr);
   ASSERT_EQ(full_targets.size(), full->targets.size()) << "duplicate targets";

@@ -111,11 +111,17 @@ TEST_F(WorldInvariants, HitlistEntriesAreV6ResolverAddresses) {
   }
 }
 
-TEST_F(WorldInvariants, CaptureContainsNoiseBeyondResolvers) {
-  // stale/special/unrouted entries inflate the capture beyond live targets.
-  EXPECT_GT(world_->ditl_raw.size(), world_->truth_resolvers.size());
-  // And filtering strips some of it.
-  EXPECT_LT(world_->targets.size(), world_->ditl_raw.size());
+TEST_F(WorldInvariants, SomeTargetsAreStale) {
+  // The capture carries stale entries (once-resolvers, now dark) beside the
+  // live resolvers, and they survive the pre-scan exclusions: some targets
+  // are no resolver at all. (The exclusion rules themselves are pinned by
+  // DitlFilter.AppliesPaperExclusions.)
+  std::size_t stale = 0;
+  for (const auto& target : world_->targets) {
+    if (world_->truth_resolvers.count(target.addr) == 0) ++stale;
+  }
+  EXPECT_GT(stale, 0u);
+  EXPECT_LT(stale, world_->targets.size());
 }
 
 TEST_F(WorldInvariants, MarginalsRoughlyHonored) {
@@ -144,7 +150,12 @@ TEST(WorldGen, SeedsChangeWorlds) {
   const auto w1 = ditl::generate_world(spec);
   spec.seed = 777;
   const auto w2 = ditl::generate_world(spec);
-  EXPECT_NE(w1->ditl_raw, w2->ditl_raw);
+  const auto addrs = [](const ditl::World& w) {
+    std::vector<IpAddr> out;
+    for (const auto& target : w.targets) out.push_back(target.addr);
+    return out;
+  };
+  EXPECT_NE(addrs(*w1), addrs(*w2));
 }
 
 TEST(WorldGen, WildcardSpecAddsZoneRecords) {

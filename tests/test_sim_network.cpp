@@ -56,9 +56,11 @@ TEST(Network, DeliversToBoundService) {
   int received = 0;
   host.bind_udp(53, [&](const Packet&) { ++received; });
   f.network.send(udp("21.0.0.5", "22.0.0.1"), 1);
+  EXPECT_EQ(f.network.pending_delivery_slots(), 1u);
   f.loop.run();
   EXPECT_EQ(received, 1);
   EXPECT_EQ(f.network.stats().delivered, 1u);
+  EXPECT_EQ(f.network.pending_delivery_slots(), 0u);
 }
 
 TEST(Network, OsavDropsForeignSourceAtEgress) {

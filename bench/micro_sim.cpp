@@ -227,8 +227,9 @@ BENCHMARK(BM_DeliveryJitteredSingletons);
 
 // --- TCP response path: bytes/s + allocs/response ---------------------------
 
-/// Client in AS1, DNS-over-TCP-style server in AS2 answering every request
-/// with a fixed response body of `resp_size` bytes.
+/// Client in AS1, DNS-over-TCP server in AS2 answering every request with a
+/// framed response of exactly `resp_size` stream bytes (2-byte length prefix
+/// included) that echoes the request's ID.
 struct TcpFixture {
   sim::EventLoop loop;
   sim::Topology topo;
@@ -237,7 +238,7 @@ struct TcpFixture {
   std::optional<sim::Host> server;
   std::vector<std::uint8_t> body;
 
-  explicit TcpFixture(std::size_t resp_size) : body(resp_size, 0xAB) {
+  explicit TcpFixture(std::size_t resp_size) : body(resp_size - 2, 0xAB) {
     topo.add_as(1);
     topo.add_as(2);
     topo.announce(1, net::Prefix::must_parse("21.0.0.0/16"));
@@ -249,15 +250,24 @@ struct TcpFixture {
                    std::vector<net::IpAddr>{net::IpAddr::must_parse("22.0.0.1")},
                    Rng(2));
     server->tcp_listen(
-        53, [this](const sim::TcpConnInfo&, std::span<const std::uint8_t>) {
-          return body;
+        53, [this](const sim::TcpConnInfo&,
+                   std::span<const std::uint8_t> req) {
+          body[0] = req[2];  // echo the ID
+          body[1] = req[3];
+          cd::GatherBuf resp(body);
+          const std::uint8_t prefix[2] = {
+              static_cast<std::uint8_t>(body.size() >> 8),
+              static_cast<std::uint8_t>(body.size())};
+          resp.set_header(prefix);
+          return resp;
         });
   }
 };
 
-/// One full connect/request/response exchange per iteration; reports
-/// response bytes/s and heap allocs per response via the operator-new
-/// counter. Arg: response size in bytes.
+/// One full one-shot dial/query/response exchange per iteration (ID
+/// 0xdead); reports response bytes/s and heap allocs per response via the
+/// operator-new counter, and fails if an exchange ends without a reply.
+/// Arg: response stream size in bytes.
 void BM_TcpResponse(benchmark::State& state) {
   const auto resp_size = static_cast<std::size_t>(state.range(0));
   TcpFixture f(resp_size);
@@ -268,24 +278,31 @@ void BM_TcpResponse(benchmark::State& state) {
   std::uint64_t delivered = 0;
   for (auto _ : state) {
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    f.client->tcp_connect(src, dst, 53,
-                          std::vector<std::uint8_t>{0x00, 0x02, 0xde, 0xad},
-                          [&delivered](std::optional<std::vector<std::uint8_t>> r) {
-                            if (r) {
-                              delivered += r->size();
-                              // Consume, then recycle — what the resolver's
-                              // TCP-retry path does with its reply buffer.
-                              cd::BufferPool::release(std::move(*r));
-                            }
-                          });
+    bool replied = false;
+    f.client->tcp_query(src, dst, 53,
+                        std::vector<std::uint8_t>{0x00, 0x02, 0xde, 0xad},
+                        [&](std::optional<std::vector<std::uint8_t>> r) {
+                          if (!r) return;
+                          replied = true;
+                          delivered += r->size();
+                          // Consume, then recycle — what the resolver's
+                          // TCP-retry path does with its reply buffer.
+                          cd::BufferPool::release(std::move(*r));
+                        });
     f.loop.run();
     allocs += g_allocs.load(std::memory_order_relaxed) - before;
+    if (!replied) {
+      state.SkipWithError("TCP exchange ended without a reply");
+      break;
+    }
     ++responses;
   }
   benchmark::DoNotOptimize(delivered);
   state.SetBytesProcessed(static_cast<std::int64_t>(responses * resp_size));
-  state.counters["allocs/resp"] =
-      benchmark::Counter(static_cast<double>(allocs) / responses);
+  if (responses > 0) {
+    state.counters["allocs/resp"] =
+        benchmark::Counter(static_cast<double>(allocs) / responses);
+  }
 }
 BENCHMARK(BM_TcpResponse)->Arg(512)->Arg(1400)->Arg(16 * 1024);
 

@@ -14,8 +14,9 @@
 # same labels plus the full unit suite (shift/overflow/alignment UB in the
 # byte codecs), the golden-table pins (label "golden"), the allocation
 # regression (label "alloc": UBSan does not replace operator new, so its
-# counters hold), the bench flag-rejection tests (label "cli") and the five
-# examples run end to end (label "example"). A final
+# counters hold), the bench flag-rejection tests (label "cli"), the five
+# examples run end to end (label "example") and a short run of the one-shot
+# TCP exchange microbench (label "micro"). A final
 # label audit fails the run if a tests/test_*.cpp is unregistered, a
 # registered test carries no label, or a label runs in no sanitizer lane
 # without a written exclusion.
@@ -33,7 +34,7 @@ PREFIX="${1:-build-ci}"
 # every ctest label appears in one of them or in UNSANITIZED_LABELS.
 TSAN_LABELS="parallel|tcp|transport|eventcore"
 ASAN_LABELS="fuzz|pcap|batched|tcp|transport|campaign|crosscheck|poison"
-UBSAN_LABELS="unit|pcap|batched|fuzz|tcp|transport|campaign|crosscheck|poison|cli|golden|alloc|example"
+UBSAN_LABELS="unit|pcap|batched|fuzz|tcp|transport|campaign|crosscheck|poison|cli|golden|alloc|example|micro"
 # Labels deliberately run only in the plain build, as "label: reason" lines.
 UNSANITIZED_LABELS=""
 
@@ -82,7 +83,8 @@ ASAN_OPTIONS=detect_leaks=1 \
 echo "=== UBSan build + ${UBSAN_LABELS//|//} ctest ==="
 # The cli label runs bench binaries with malformed flag values or unknown
 # flags: the strict parsers must reject them before any campaign starts.
-# The example label runs each examples/ program to completion.
+# The example label runs each examples/ program to completion, and the
+# micro label the BM_TcpResponse/512 microbench, failing on its error line.
 cmake -B "${PREFIX}-ubsan" -S . -DCD_SANITIZE=undefined >/dev/null
 cmake --build "${PREFIX}-ubsan" -j
 ctest --test-dir "${PREFIX}-ubsan" -L "${UBSAN_LABELS}" --output-on-failure -j

@@ -85,9 +85,9 @@ struct ExperimentConfig {
   /// framed messages (responses matched by DNS message ID, out-of-order
   /// supported), and are idle-closed server-side after
   /// sim::TransportOptions::idle_timeout (RFC 7766 §6.1). Off —
-  /// the default — is the one-shot dial-per-exchange baseline: results and
-  /// capture digests are bit-identical to pre-transport builds
-  /// (tests/test_transport.cpp pins this).
+  /// the default — every exchange dials a connection that carries one
+  /// message: results and capture digests are bit-identical to
+  /// pre-transport builds (the campaign goldens pin this).
   bool persistent_tcp = false;
   /// In-flight messages per session before tcp_query queues (RFC 7766
   /// §6.2.1.1 pipelining window).
@@ -222,17 +222,6 @@ class Experiment {
   /// Schedules the campaign and drains the event loop. Idempotent: a second
   /// call returns the cached results.
   const ExperimentResults& run();
-
-  [[nodiscard]] cd::scanner::Prober& prober() { return *prober_; }
-  [[nodiscard]] cd::scanner::Collector& collector() { return *collector_; }
-  /// Null unless the config enabled the cross-check plane.
-  [[nodiscard]] cd::scanner::CrossCheckProber* crosscheck_prober() {
-    return crosscheck_prober_.get();
-  }
-  /// Null unless the config enabled the attacker plane.
-  [[nodiscard]] cd::attack::SpoofInjector* injector() {
-    return injector_.get();
-  }
 
  private:
   /// Grafts the anycast poison subzone, its site hosts/auths and the

@@ -42,7 +42,7 @@ std::vector<std::uint8_t> tcp_unframe(std::span<const std::uint8_t> framed) {
 AuthServer::AuthServer(cd::sim::Host& host, AuthConfig config)
     : host_(host), config_(std::move(config)) {
   host_.bind_udp(53, [this](const Packet& pkt) { on_udp(pkt); });
-  // One handler serves both lifecycles: with the persistent knob off each
+  // One handler serves both transports: with the persistent knob off each
   // connection carries one exchange (the reply retires it); with it on the
   // same handler answers every frame of a pipelined session, and the
   // network-wide idle window bounds how long a quiet session is kept open.

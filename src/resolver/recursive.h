@@ -153,8 +153,8 @@ class RecursiveResolver {
                            const cd::dns::DnsMessage& query);
   /// TCP-53 client service (RFC 7766): one framed query in, one framed
   /// response out via `reply` — synchronously for ACL denials, after the
-  /// (possibly multi-exchange) resolution otherwise. Serves both the
-  /// one-shot and the persistent-session lifecycle.
+  /// (possibly multi-exchange) resolution otherwise. Serves one-shot and
+  /// persistent-session connections alike.
   void handle_tcp_client(const cd::sim::TcpConnInfo& info,
                          std::span<const std::uint8_t> framed,
                          cd::sim::Host::TcpSessionReply reply);

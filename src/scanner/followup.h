@@ -22,8 +22,8 @@ enum class FollowupTransport : std::uint8_t {
   kUdp = 0,
   /// DNS-over-TCP from the vantage's real address (spoofed sources cannot
   /// complete a handshake): the same 10+10+open+TC battery as framed
-  /// messages via Host::tcp_query — 22 dials per target on the one-shot
-  /// baseline, one reused pipelined session per target with the
+  /// messages via Host::tcp_query — 22 dials per target in the default
+  /// one-shot mode, one reused pipelined session per target with the
   /// persistent-transport knob on. The scan-cost axis of the tables.
   kTcp = 1,
 };

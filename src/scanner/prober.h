@@ -73,8 +73,8 @@ class Prober {
   void send_open(const TargetInfo& target);
 
   /// Sends one DNS-over-TCP query (RFC 7766 framed) from the vantage's real
-  /// address via Host::tcp_query — one dial per message on the one-shot
-  /// baseline, a reused pipelined session per target with the persistent
+  /// address via Host::tcp_query — one dial per message in the default
+  /// one-shot mode, a reused pipelined session per target with the persistent
   /// transport on. The framed reply folds into the per-target digest map
   /// below (timeouts and empty replies fold nothing, identically on both
   /// paths). No-op if the vantage lacks an address in the target's family.

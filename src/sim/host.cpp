@@ -47,15 +47,10 @@ std::uint16_t framed_message_id(std::span<const std::uint8_t> framed) {
 
 }  // namespace
 
-bool TcpReassembly::add(std::size_t offset, std::span<const std::uint8_t> data,
-                        bool last) {
+bool TcpReassembly::add(std::size_t offset,
+                        std::span<const std::uint8_t> data) {
   const std::size_t end = offset + data.size();
   if (end > kMaxStreamBytes) return false;
-  if (last) {
-    if (total_ != kNoTotal && total_ != end) return false;
-    total_ = end;
-  }
-  if (total_ != kNoTotal && end > total_) return false;
   if (data.empty()) return true;
 
   // Merge [offset, end) into the sorted disjoint range table first — if the
@@ -92,26 +87,10 @@ bool TcpReassembly::add(std::size_t offset, std::span<const std::uint8_t> data,
   return true;
 }
 
-bool TcpReassembly::complete() const {
-  return total_ != kNoTotal &&
-         (total_ == 0 ||
-          (n_ranges_ == 1 && ranges_[0].first == 0 &&
-           ranges_[0].second == total_));
-}
-
-std::vector<std::uint8_t> TcpReassembly::take() {
-  buf_.resize(total_ == kNoTotal ? 0 : total_);
-  n_ranges_ = 0;
-  total_ = kNoTotal;
-  consumed_ = 0;
-  return std::move(buf_);
-}
-
 void TcpReassembly::discard() {
   cd::BufferPool::release(std::move(buf_));
   buf_ = {};
   n_ranges_ = 0;
-  total_ = kNoTotal;
   consumed_ = 0;
 }
 
@@ -239,54 +218,16 @@ Packet Host::make_segment(const IpAddr& src, std::uint16_t sport,
   return pkt;
 }
 
-void Host::tcp_connect(const IpAddr& src, const IpAddr& dst,
-                       std::uint16_t dst_port, cd::GatherBuf request,
-                       TcpResponseHandler on_response, SimTime timeout) {
-  CD_ENSURE(has_address(src), "tcp_connect: src is not ours");
-
-  std::uint16_t sport = ephemeral_port();
-  ConnKey key{dst, dst_port, sport};
-  for (int attempts = 0; connections_.count(key) && attempts < 16; ++attempts) {
-    sport = ephemeral_port();
-    key.local_port = sport;
-  }
-
-  Connection conn;
-  conn.state = ConnState::kSynSent;
-  conn.local = src;
-  conn.request = std::move(request);
-  conn.on_response = std::move(on_response);
-  conn.timeout_event = network_.loop().schedule_in(timeout, [this, key] {
-    const auto it = connections_.find(key);
-    if (it == connections_.end()) return;
-    TcpResponseHandler handler = std::move(it->second.on_response);
-    it->second.rx.discard();
-    connections_.erase(it);
-    if (handler) handler(std::nullopt);
-  });
-
-  Packet syn = make_segment(src, sport, dst, dst_port, TcpFlags{.syn = true}, {});
-  syn.tcp_seq = static_cast<std::uint32_t>(rng_.u64());
-  conn.iss = syn.tcp_seq;
-  connections_.emplace(key, std::move(conn));
-  ++counters_.dials;
-  network_.send(std::move(syn), asn_);
-}
-
 void Host::tcp_query(const IpAddr& src, const IpAddr& dst,
                      std::uint16_t dst_port, cd::GatherBuf message,
                      TcpResponseHandler on_reply, SimTime timeout) {
-  if (!network_.transport().persistent) {
-    // Differential baseline: exactly the one-shot path, one dial per message.
-    tcp_connect(src, dst, dst_port, std::move(message), std::move(on_reply),
-                timeout);
-    return;
-  }
   CD_ENSURE(has_address(src), "tcp_query: src is not ours");
 
+  // A one-shot query always dials and never enters the session index.
+  const bool persistent = network_.transport().persistent;
   const SessionKey skey{src, dst, dst_port};
   ConnKey key;
-  const auto sit = sessions_.find(skey);
+  const auto sit = persistent ? sessions_.find(skey) : sessions_.end();
   if (sit != sessions_.end() && connections_.count(sit->second) != 0) {
     key = sit->second;
     ++counters_.session_reuses;
@@ -299,16 +240,16 @@ void Host::tcp_query(const IpAddr& src, const IpAddr& dst,
       sport = ephemeral_port();
       key.local_port = sport;
     }
-    Connection conn;
-    conn.state = ConnState::kSynSent;
-    conn.session = true;
+    CD_ENSURE(connections_.count(key) == 0,
+              "tcp_query: no free ephemeral port toward the peer");
+    Connection& conn = connections_[key];
+    conn.session = persistent;
     conn.local = src;
     Packet syn =
         make_segment(src, sport, dst, dst_port, TcpFlags{.syn = true}, {});
     syn.tcp_seq = static_cast<std::uint32_t>(rng_.u64());
     conn.iss = syn.tcp_seq;
-    connections_.emplace(key, std::move(conn));
-    sessions_[skey] = key;
+    if (persistent) sessions_[skey] = key;
     ++counters_.dials;
     network_.send(std::move(syn), asn_);
   }
@@ -380,7 +321,7 @@ void Host::flush_session(const ConnKey& key) {
   const auto it = connections_.find(key);
   if (it == connections_.end()) return;
   Connection& conn = it->second;
-  if (conn.state != ConnState::kClientSession || !conn.tx_ready) return;
+  if (conn.state != ConnState::kClient || !conn.tx_ready) return;
   const auto cap =
       static_cast<std::size_t>(std::max(1, network_.transport().max_pipeline));
   while (!conn.queue.empty() && conn.pending.size() < cap) {
@@ -390,7 +331,7 @@ void Host::flush_session(const ConnKey& key) {
     cd::BufferPool::release(std::move(m.bytes));
     conn.pending.push_back(
         PendingReply{m.id, std::move(m.on_reply), m.timeout_event});
-    ++counters_.session_messages;
+    if (conn.session) ++counters_.session_messages;
   }
 }
 
@@ -445,6 +386,12 @@ void Host::process_client_session(const ConnKey& key) {
       }
     }
     if (handler) {
+      if (!conn.session) {
+        // One-shot: the exchange is done; forget the connection before the
+        // handler runs (it may dial again).
+        conn.rx.discard();
+        connections_.erase(it);
+      }
       handler(std::move(msg));
     } else {
       cd::BufferPool::release(std::move(msg));  // unsolicited: drop
@@ -491,8 +438,14 @@ void Host::process_server_session(const ConnKey& key) {
       Connection& c = rit->second;
       --c.server_outstanding;
       session_activity(c);
+      if (!c.session) network_.loop().cancel(c.reaper_event);
       if (response.size() > 0) session_write(key, c, response.spans());
       cd::BufferPool::release(std::move(response.body));
+      if (!c.session) {
+        // One-shot: the reply retires the connection (no FIN).
+        c.rx.discard();
+        connections_.erase(rit);
+      }
     };
     lit->second(conn.info, msg, std::move(reply));
     cd::BufferPool::release(std::move(msg));
@@ -565,9 +518,10 @@ void Host::on_message_timeout(const ConnKey& key, std::uint16_t id) {
     }
   }
   // A dial that never established with nothing left waiting is dead; drop
-  // it so the next tcp_query redials instead of queueing forever.
-  if (conn.state == ConnState::kSynSent && conn.queue.empty() &&
-      conn.pending.empty()) {
+  // it so the next tcp_query redials instead of queueing forever. A
+  // one-shot connection has nothing more to carry once its message failed.
+  if ((conn.state == ConnState::kSynSent || !conn.session) &&
+      conn.queue.empty() && conn.pending.empty()) {
     const auto sit =
         sessions_.find(SessionKey{conn.local, key.peer, key.peer_port});
     if (sit != sessions_.end() && sit->second.local_port == key.local_port) {
@@ -583,7 +537,6 @@ void Host::on_fin(const ConnKey& key) {
   const auto it = connections_.find(key);
   if (it == connections_.end()) return;
   Connection& conn = it->second;
-  if (!conn.session) return;  // one-shot lifecycles never see a FIN
   std::vector<TcpResponseHandler> failed;
   for (QueuedMsg& m : conn.queue) {
     if (m.timeout_event != 0) network_.loop().cancel(m.timeout_event);
@@ -595,7 +548,7 @@ void Host::on_fin(const ConnKey& key) {
     if (p.on_reply) failed.push_back(std::move(p.on_reply));
   }
   if (conn.idle_event != 0) network_.loop().cancel(conn.idle_event);
-  if (conn.timeout_event != 0) network_.loop().cancel(conn.timeout_event);
+  if (conn.reaper_event != 0) network_.loop().cancel(conn.reaper_event);
   const auto sit =
       sessions_.find(SessionKey{conn.local, key.peer, key.peer_port});
   if (sit != sessions_.end() && sit->second.local_port == key.local_port) {
@@ -653,8 +606,8 @@ void Host::deliver_tcp(const Packet& packet) {
     conn.irs = packet.tcp_seq;
     conn.info = TcpConnInfo{packet.src, packet.src_port, packet.dst,
                             packet.dst_port, packet};
+    conn.state = ConnState::kServer;
     if (network_.transport().persistent) {
-      conn.state = ConnState::kServerSession;
       conn.session = true;
       conn.idle_window = network_.transport().idle_timeout;
       conn.last_activity = network_.loop().now();
@@ -664,9 +617,8 @@ void Host::deliver_tcp(const Packet& packet) {
         conn.hello_rounds_left = kDotHandshakeRtts;
       }
     } else {
-      conn.state = ConnState::kServerEstablished;
       // Reap abandoned half-open connections after a while.
-      conn.timeout_event =
+      conn.reaper_event =
           network_.loop().schedule_in(30 * kSecond, [this, key] {
             const auto it = connections_.find(key);
             if (it == connections_.end()) return;
@@ -696,26 +648,16 @@ void Host::deliver_tcp(const Packet& packet) {
     Connection& conn = it->second;
     conn.peer_mss = peer_mss_of(packet);
     conn.irs = packet.tcp_seq;
-    if (conn.session) {
-      conn.state = ConnState::kClientSession;
-      if (network_.transport().dot) {
-        // Pay the handshake before any DNS bytes: hello flights are real
-        // stream bytes, one flight each way per round trip.
-        conn.hello_rounds_left = kDotHandshakeRtts;
-        send_hello(key, conn);
-      } else {
-        conn.tx_ready = true;
-        flush_session(key);
-      }
-      return;
+    conn.state = ConnState::kClient;
+    if (conn.session && network_.transport().dot) {
+      // Pay the handshake before any DNS bytes: hello flights are real
+      // stream bytes, one flight each way per round trip.
+      conn.hello_rounds_left = kDotHandshakeRtts;
+      send_hello(key, conn);
+    } else {
+      conn.tx_ready = true;
+      flush_session(key);
     }
-    // One-shot client: stream the request at the server's MSS.
-    conn.state = ConnState::kClientEstablished;
-    send_stream(conn.local, key.local_port, key.peer, key.peer_port, conn.iss,
-                conn.irs + 1, conn.peer_mss, conn.request.spans());
-    // The request stream is on the wire; recycle its body now.
-    cd::BufferPool::release(std::move(conn.request.body));
-    conn.request = {};
     return;
   }
 
@@ -729,66 +671,17 @@ void Host::deliver_tcp(const Packet& packet) {
     if (conn.state == ConnState::kSynSent) return;  // no stream basis yet
 
     // Stream offset relative to the peer's ISN + 1 (u32 wraparound safe).
+    // Frames are cut by length prefix, and the stream origin rebases as
+    // bytes are consumed.
     const std::uint32_t rel = packet.tcp_seq - (conn.irs + 1);
-
-    if (conn.session) {
-      // Session streams have no end-of-stream PSH semantics: frames are cut
-      // by length prefix, and the stream origin rebases as bytes are
-      // consumed.
-      if (rel < conn.rx_base) return;  // behind the rebased origin: stale
-      conn.rx.add(rel - conn.rx_base, packet.payload, /*last=*/false);
-      if (conn.state == ConnState::kServerSession) {
-        session_activity(conn);
-        process_server_session(key);
-      } else {
-        process_client_session(key);
-      }
-      return;
+    if (rel < conn.rx_base) return;  // behind the rebased origin: stale
+    conn.rx.add(rel - conn.rx_base, packet.payload);
+    if (conn.state == ConnState::kServer) {
+      session_activity(conn);
+      process_server_session(key);
+    } else {
+      process_client_session(key);
     }
-
-    // One-shot lifecycle: PSH marks the sender's end of stream.
-    conn.rx.add(rel, packet.payload, f.psh);
-    if (!conn.rx.complete()) return;
-
-    if (conn.state == ConnState::kServerEstablished) {
-      // Full request stream arrived: serve it. The reply retires the
-      // connection — deterministic teardown (timeout cancelled, entry
-      // erased) happens inside it, so the synchronous tcp_listen wrap and a
-      // deferred session handler fold into the same wire shape.
-      const auto lit = tcp_listeners_.find(packet.dst_port);
-      if (lit == tcp_listeners_.end()) return;
-      std::vector<std::uint8_t> request_bytes = conn.rx.take();
-      const std::size_t req_len = request_bytes.size();
-      TcpSessionReply reply = [this, key, req_len](cd::GatherBuf response) {
-        const auto rit = connections_.find(key);
-        if (rit == connections_.end()) {
-          cd::BufferPool::release(std::move(response.body));
-          return;
-        }
-        Connection& c = rit->second;
-        network_.loop().cancel(c.timeout_event);
-        const std::uint32_t iss = c.iss;
-        const std::uint32_t ack_no =
-            c.irs + 1 + static_cast<std::uint32_t>(req_len);
-        const std::uint16_t peer_mss = c.peer_mss;
-        TcpConnInfo info = std::move(c.info);  // retiring the connection
-        connections_.erase(rit);
-        send_stream(info.local, info.local_port, info.peer, info.peer_port,
-                    iss, ack_no, peer_mss, response.spans());
-        cd::BufferPool::release(std::move(response.body));
-      };
-      lit->second(conn.info, request_bytes, std::move(reply));
-      cd::BufferPool::release(std::move(request_bytes));
-      return;
-    }
-
-    // Client side: the response stream is complete — deterministic
-    // teardown (timeout cancelled, entry erased) before the handler runs.
-    network_.loop().cancel(conn.timeout_event);
-    TcpResponseHandler handler = std::move(conn.on_response);
-    std::vector<std::uint8_t> response_bytes = conn.rx.take();
-    connections_.erase(it);
-    if (handler) handler(std::move(response_bytes));
   }
 }
 

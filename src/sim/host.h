@@ -1,21 +1,24 @@
 // A simulated end host: addresses, an OS stack model, UDP services, and a
 // streaming TCP transport (handshake + MSS-segmented byte streams with
 // reordering-tolerant reassembly) that carries real fingerprintable SYN
-// metadata. Two connection lifecycles share the state machine:
+// metadata. Every TCP exchange is an RFC 1035 §4.2.2 length-prefixed DNS
+// message on a connection, and one lifecycle serves both transports:
 //
-//  - one-shot (the PR-5 baseline, always available): tcp_connect() streams
-//    one request, the listener answers one response, and the connection is
-//    torn down — the wire shape every differential test pins.
-//  - sessions (Network::transport().persistent): connections opened while
-//    the knob is set survive completed exchanges and carry multiple RFC
-//    1035 §4.2.2 length-prefixed DNS messages per stream. tcp_query()
-//    reuses one connection per (src, dst, port), pipelines up to
-//    max_pipeline in-flight messages, and matches responses to handlers by
-//    DNS message ID (out-of-order replies supported). Servers close idle
-//    sessions with a FIN after an idle window (RFC 7766 §6.1), driven
+//  - one-shot (the default): tcp_query() dials a connection that carries
+//    exactly one framed exchange; the listener answers it, and both ends
+//    then forget the connection without a FIN.
+//  - sessions (Network::transport().persistent): connections survive
+//    completed exchanges and carry many framed messages per stream.
+//    tcp_query() reuses one connection per (src, dst, port) and pipelines
+//    up to max_pipeline in-flight messages. Servers close idle sessions
+//    with a FIN after an idle window (RFC 7766 §6.1), driven
 //    deterministically through the timing wheel. With transport().dot set,
 //    each dial additionally pays a fixed hello handshake (real stream
 //    bytes, real RTTs) plus a setup delay before the first DNS byte.
+//
+// In both, responses are matched to handlers by DNS message ID, so
+// out-of-order replies pair correctly and a reply with an unknown ID is
+// dropped.
 #pragma once
 
 #include <array>
@@ -48,41 +51,25 @@ struct TcpConnInfo {
 };
 
 /// Reassembles one direction of a TCP byte stream from (possibly reordered)
-/// segments. Offsets are stream-relative: seq - (peer ISN + 1). The sender
-/// marks its last segment with PSH, which fixes the stream's total length;
-/// the stream is complete once [0, total) is covered. Backing storage is a
-/// pooled buffer; received-range bookkeeping is a small inline array, so a
-/// reassembly allocates nothing in steady state. Pathological interleavings
-/// that exceed the inline range capacity (or a sanity cap on stream size)
-/// drop the segment — the stream stalls into the connection-timeout path,
-/// which is also how real stacks shed garbage.
+/// segments. Offsets are stream-relative: seq - (peer ISN + 1). The
+/// receiver cuts length-prefixed messages off the front with a consumption
+/// cursor; PSH marks the sender's last segment on the wire but ends nothing
+/// here. Backing storage is a pooled buffer; received-range bookkeeping is
+/// a small inline array, so a reassembly allocates nothing in steady state.
+/// Pathological interleavings that exceed the inline range capacity (or a
+/// sanity cap on stream size) drop the segment — the stream stalls into the
+/// message-timeout path, which is also how real stacks shed garbage.
 class TcpReassembly {
  public:
   static constexpr std::size_t kMaxRanges = 8;
   static constexpr std::size_t kMaxStreamBytes = 1 << 20;
 
-  /// Ingests a segment's payload at stream offset `offset`; `last` marks
-  /// the sender's stream end at offset + data.size(). Returns false if the
-  /// segment was dropped (range-table overflow, oversized, or inconsistent
-  /// with an already-fixed total).
-  bool add(std::size_t offset, std::span<const std::uint8_t> data, bool last);
+  /// Ingests a segment's payload at stream offset `offset`. Returns false
+  /// if the segment was dropped (range-table overflow or oversized).
+  bool add(std::size_t offset, std::span<const std::uint8_t> data);
 
-  /// True once every byte of the PSH-fixed total has arrived.
-  [[nodiscard]] bool complete() const;
-
-  /// Total stream length; only meaningful once complete().
-  [[nodiscard]] std::size_t total() const { return total_; }
-
-  /// Moves the assembled stream out (call once, when complete()).
-  [[nodiscard]] std::vector<std::uint8_t> take();
-
-  /// Returns the backing buffer to the pool (teardown without completion).
+  /// Returns the backing buffer to the pool (connection teardown).
   void discard();
-
-  // --- session (message-mode) consumption -----------------------------------
-  // Persistent connections never fix a stream total (PSH is not end-of-
-  // stream when many messages share one stream); instead the receiver cuts
-  // length-prefixed messages off the front with a consumption cursor.
 
   /// Contiguous bytes available at the cursor.
   [[nodiscard]] std::size_t available() const;
@@ -100,35 +87,35 @@ class TcpReassembly {
   std::size_t rebase();
 
  private:
-  static constexpr std::size_t kNoTotal = ~static_cast<std::size_t>(0);
-
   std::vector<std::uint8_t> buf_;
   // Disjoint received [begin, end) ranges, sorted, merged on insert.
   std::array<std::pair<std::size_t, std::size_t>, kMaxRanges> ranges_{};
   std::size_t n_ranges_ = 0;
-  std::size_t total_ = kNoTotal;
   std::size_t consumed_ = 0;
 };
 
 class Host {
  public:
   using UdpHandler = std::function<void(const cd::net::Packet&)>;
-  /// Serves one reassembled request stream; the returned payload (framing
+  /// Serves one framed request (tcp_listen); the returned payload (framing
   /// header + body, or a plain vector) is streamed back to the client in
   /// MSS-sized segments.
   using TcpServerHandler = std::function<cd::GatherBuf(
       const TcpConnInfo&, std::span<const std::uint8_t>)>;
-  /// Receives the reassembled response stream, or nullopt on timeout.
+  /// Receives the framed response matched to a query, or nullopt on
+  /// timeout (or when the server closed the session first).
   using TcpResponseHandler =
       std::function<void(std::optional<std::vector<std::uint8_t>>)>;
-  /// Sends one framed response on a session connection (no-op once the
+  /// Sends one framed response on an accepted connection (no-op once the
   /// connection is gone; an empty GatherBuf sends nothing). Copyable and
   /// deferrable — the serving application may reply asynchronously.
   using TcpSessionReply = std::function<void(cd::GatherBuf)>;
-  /// Serves one length-prefixed message from a session stream. The message
-  /// span is valid only for the duration of the call; reply via the
-  /// callback, immediately or later (per-connection pending responses are
-  /// tracked so idle-timeout teardown never races an unsent reply).
+  /// Serves one length-prefixed message from an accepted stream. The
+  /// message span is valid only for the duration of the call, and the
+  /// TcpConnInfo only until the reply is sent (a one-shot reply retires
+  /// the connection); reply via the callback, immediately or later
+  /// (per-connection pending responses are tracked so idle-timeout
+  /// teardown never races an unsent reply).
   using TcpSessionHandler = std::function<void(
       const TcpConnInfo&, std::span<const std::uint8_t>, TcpSessionReply)>;
 
@@ -167,32 +154,23 @@ class Host {
                 std::vector<std::uint8_t> payload);
 
   // --- TCP ---
-  /// Per-message session listener. With Network::transport().persistent off
-  /// an accepted connection still carries exactly one exchange (the one-shot
-  /// wire shape), the whole request stream arriving as the one message;
-  /// with it on, the connection is a session: length-prefix framed,
-  /// pipelined, idle-timed by transport().idle_timeout.
+  /// Per-message listener. With Network::transport().persistent off an
+  /// accepted connection carries exactly one framed exchange and is
+  /// forgotten once the reply is sent (a 30 s reaper drops one whose
+  /// request never completes); with it on, the connection is a session:
+  /// pipelined and idle-timed by transport().idle_timeout.
   void tcp_listen_session(std::uint16_t port, TcpSessionHandler handler);
   /// One-exchange convenience listener: wraps `handler` (which returns its
   /// response synchronously) in a session handler that replies in place.
   void tcp_listen(std::uint16_t port, TcpServerHandler handler);
-  /// Opens a connection from `src` (one of this host's addresses), streams
-  /// `request` once established (segmented at the peer's SYN-advertised
-  /// MSS), and invokes `on_response` with the reassembled reply stream or
-  /// with nullopt after `timeout`. Connection state — including the timeout
-  /// event — is torn down as soon as the response completes.
-  void tcp_connect(const cd::net::IpAddr& src, const cd::net::IpAddr& dst,
-                   std::uint16_t dst_port, cd::GatherBuf request,
-                   TcpResponseHandler on_response,
-                   SimTime timeout = 5 * kSecond);
-  /// Sends one length-prefixed DNS message to (dst, dst_port). With
-  /// transport().persistent off this is exactly tcp_connect — one dial per
-  /// message, the differential baseline. With it on, the message rides the
-  /// live session to (src, dst, dst_port) (dialing one if absent, redialing
-  /// if the server idle-closed it), pipelined up to transport().max_pipeline
-  /// in flight; `on_reply` receives the matching framed response (matched
-  /// by DNS message ID, so out-of-order replies pair correctly) or nullopt
-  /// after `timeout`.
+  /// Sends one length-prefixed DNS message from `src` (one of this host's
+  /// addresses) to (dst, dst_port), segmented at the peer's SYN-advertised
+  /// MSS. With transport().persistent off every call dials a connection
+  /// that carries just this message. With it on, the message rides the
+  /// live session to (src, dst, dst_port) (dialing one if absent,
+  /// redialing if the server idle-closed it), pipelined up to
+  /// transport().max_pipeline in flight. `on_reply` receives the framed
+  /// response with the same DNS message ID, or nullopt after `timeout`.
   void tcp_query(const cd::net::IpAddr& src, const cd::net::IpAddr& dst,
                  std::uint16_t dst_port, cd::GatherBuf message,
                  TcpResponseHandler on_reply, SimTime timeout = 5 * kSecond);
@@ -260,10 +238,8 @@ class Host {
   };
   enum class ConnState {
     kSynSent,
-    kClientEstablished,
-    kServerEstablished,
-    kClientSession,
-    kServerSession,
+    kClient,
+    kServer,
   };
   /// A message accepted by tcp_query but not yet written to the stream
   /// (handshake still running, or the pipeline window is full).
@@ -283,15 +259,12 @@ class Host {
     ConnState state = ConnState::kSynSent;
     bool session = false;                // dialed/accepted in persistent mode
     cd::net::IpAddr local;
-    cd::GatherBuf request;               // one-shot client: send on SYN-ACK
-    TcpResponseHandler on_response;      // one-shot client side
     TcpConnInfo info;                    // server side (includes SYN)
-    EventId timeout_event = 0;
+    EventId reaper_event = 0;            // one-shot server: half-open reaper
     std::uint16_t peer_mss = kDefaultMss;  // from the peer's SYN / SYN-ACK
     std::uint32_t iss = 0;               // our initial send sequence number
     std::uint32_t irs = 0;               // peer's initial sequence number
     TcpReassembly rx;                    // the peer's inbound byte stream
-    // --- session mode ---
     std::size_t tx_off = 0;         // stream bytes we have written (post-ISS)
     std::size_t rx_base = 0;        // stream offset of rx's origin (rebases)
     std::deque<QueuedMsg> queue;    // client: awaiting a pipeline slot
@@ -306,25 +279,27 @@ class Host {
   };
 
   void deliver_tcp(const cd::net::Packet& packet);
-  // --- session machinery ---
-  /// Writes `data` on a session stream at tx_off (advancing it) with the
+  /// Writes `data` on a connection's stream at tx_off (advancing it) with the
   /// current ack for the peer's stream.
   void session_write(const ConnKey& key, Connection& conn,
                      const cd::ConstSpans& data);
-  /// Writes one kDotHelloBytes flight on the session stream (either side).
+  /// Writes one kDotHelloBytes flight on a session stream (either side).
   void send_hello(const ConnKey& key, Connection& conn);
   /// Promotes queued messages into the pipeline window and writes them.
   void flush_session(const ConnKey& key);
   /// Cuts complete length-prefixed messages (and hello flights) off the
-  /// client-side rx stream, pairing responses with pending handlers.
+  /// client-side rx stream, pairing responses with pending handlers; a
+  /// one-shot connection is erased once its reply is paired.
   void process_client_session(const ConnKey& key);
   /// Server-side counterpart: answers hello flights, hands complete
-  /// messages to the listener with a deferrable reply callback.
+  /// messages to the listener with a deferrable reply callback; a one-shot
+  /// connection is erased once its reply is sent.
   void process_server_session(const ConnKey& key);
   void session_activity(Connection& conn);
   void idle_check(const ConnKey& key);
   /// Fails one queued/pending message by ID (its timeout fired), tearing
-  /// down a never-established dial once nothing else references it.
+  /// down a never-established dial or a one-shot connection once nothing
+  /// else waits on it.
   void on_message_timeout(const ConnKey& key, std::uint16_t id);
   /// Peer closed (FIN): fail every queued/pending message, drop the session
   /// index entry, and erase the connection.

@@ -86,9 +86,9 @@ struct NetworkStats {
 struct TransportOptions {
   /// RFC 7766 mode: client connections are keyed by (src, dst, port) and
   /// survive completed exchanges; streams carry length-prefixed DNS messages
-  /// with pipelined requests and responses matched by message ID. Off (the
-  /// default) preserves the one-exchange-per-connection PR-5 wire shape
-  /// byte for byte — the differential baseline.
+  /// with pipelined requests. Off (the default), every Host::tcp_query
+  /// dials a connection that carries one exchange and ends without a FIN.
+  /// Responses are matched by DNS message ID in both modes.
   bool persistent = false;
   /// Client-side cap on in-flight (sent, unanswered) messages per
   /// connection; further queries queue until a response frees a slot.
@@ -107,7 +107,7 @@ struct TransportOptions {
 /// (never reset; excluded from results_digest like NetworkStats). These are
 /// what the per-transport benches and the SYN-drop differential assert on.
 struct TransportCounters {
-  std::uint64_t dials = 0;            // client SYNs sent (connect + session)
+  std::uint64_t dials = 0;            // client SYNs sent (one per dial)
   std::uint64_t accepts = 0;          // server-side connections accepted
   std::uint64_t session_reuses = 0;   // tcp_query served by a live session
   std::uint64_t session_messages = 0; // session messages written by clients

@@ -233,24 +233,28 @@ TEST(Tcp, RequestResponseExchange) {
   Host client(f.network, 1, sim::os_profile(sim::OsId::kUbuntu1904),
               {IpAddr::must_parse("21.0.0.1")}, Rng(2));
 
+  // Requests and replies are length-prefixed messages (RFC 1035 §4.2.2);
+  // the first two body bytes are the DNS ID the client pairs replies by.
   std::optional<sim::TcpConnInfo> seen_conn;
   server.tcp_listen(53, [&](const sim::TcpConnInfo& info,
                             std::span<const std::uint8_t> req) {
     seen_conn = info;
-    std::vector<std::uint8_t> resp(req.begin(), req.end());
+    // Echo the body with one more byte, re-framed.
+    std::vector<std::uint8_t> resp{0, static_cast<std::uint8_t>(req[1] + 1)};
+    resp.insert(resp.end(), req.begin() + 2, req.end());
     resp.push_back(0xFF);
     return resp;
   });
 
   std::optional<std::vector<std::uint8_t>> reply;
-  client.tcp_connect(IpAddr::must_parse("21.0.0.1"),
-                     IpAddr::must_parse("22.0.0.1"), 53,
-                     std::vector<std::uint8_t>{1, 2, 3},
-                     [&](auto r) { reply = std::move(*r); });
+  client.tcp_query(IpAddr::must_parse("21.0.0.1"),
+                   IpAddr::must_parse("22.0.0.1"), 53,
+                   std::vector<std::uint8_t>{0, 3, 0x12, 0x34, 3},
+                   [&](auto r) { reply = std::move(*r); });
   f.loop.run();
 
   ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(*reply, (std::vector<std::uint8_t>{1, 2, 3, 0xFF}));
+  EXPECT_EQ(*reply, (std::vector<std::uint8_t>{0, 4, 0x12, 0x34, 3, 0xFF}));
   ASSERT_TRUE(seen_conn.has_value());
   // The server kept the client's SYN with its fingerprintable fields.
   EXPECT_TRUE(seen_conn->syn.tcp_flags.syn);
@@ -269,13 +273,14 @@ TEST(Tcp, TimeoutWhenNoListener) {
   Host client(f.network, 1, sim::os_profile(sim::OsId::kUbuntu1904),
               {IpAddr::must_parse("21.0.0.1")}, Rng(2));
   bool failed = false;
-  client.tcp_connect(IpAddr::must_parse("21.0.0.1"),
-                     IpAddr::must_parse("22.0.0.1"), 53,
-                     std::vector<std::uint8_t>{1},
-                     [&](auto r) { failed = !r.has_value(); },
-                     2 * sim::kSecond);
+  client.tcp_query(IpAddr::must_parse("21.0.0.1"),
+                   IpAddr::must_parse("22.0.0.1"), 53,
+                   std::vector<std::uint8_t>{0, 2, 0x12, 0x34},
+                   [&](auto r) { failed = !r.has_value(); },
+                   2 * sim::kSecond);
   f.loop.run();
   EXPECT_TRUE(failed);
+  EXPECT_EQ(client.open_tcp_connections(), 0u);
 }
 
 TEST(Tcp, SpoofedSynCannotComplete) {

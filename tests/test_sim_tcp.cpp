@@ -1,7 +1,8 @@
 // Unit + integration tests: streaming MSS-segmented TCP — stream
-// reassembly, segmentation caps at the peer's SYN-advertised MSS,
-// deterministic connection teardown (no stray timeout events), the
-// truncated-mid-stream timeout path, and campaign digests pinned to the
+// reassembly and length-prefix cutting, segmentation caps at the peer's
+// SYN-advertised MSS, deterministic one-shot connection teardown (no stray
+// timeout events), the truncated-mid-stream timeout path, a loud failure
+// when no ephemeral port is free, and campaign digests pinned to the
 // goldens the single-buffer baseline reproduced.
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "net/packet.h"
 #include "sim/host.h"
 #include "sim/network.h"
+#include "util/error.h"
 #include "util/pcap.h"
 #include "util/rng.h"
 
@@ -58,32 +60,73 @@ cd::GatherBuf framed(std::vector<std::uint8_t> body) {
   return g;
 }
 
+/// A framed message of exactly `stream_bytes` bytes on the wire (prefix
+/// included) whose DNS ID field carries `id`, the rest patterned filler.
+cd::GatherBuf framed_stream(std::size_t stream_bytes, std::uint16_t id,
+                            std::uint8_t salt) {
+  std::vector<std::uint8_t> body = pattern(stream_bytes - 2, salt);
+  body[0] = static_cast<std::uint8_t>(id >> 8);
+  body[1] = static_cast<std::uint8_t>(id);
+  return framed(std::move(body));
+}
+
+/// The DNS ID field of a framed request (bytes 2..3).
+std::uint16_t framed_id(std::span<const std::uint8_t> framed_bytes) {
+  return static_cast<std::uint16_t>((framed_bytes[2] << 8) | framed_bytes[3]);
+}
+
+/// The 4-byte framed request every exchange below sends: a 2-byte message
+/// that is nothing but the ID 0xABCD.
+constexpr std::uint16_t kQueryId = 0xABCD;
+cd::GatherBuf query() { return framed({0xAB, 0xCD}); }
+
+std::vector<std::uint8_t> read_all(TcpReassembly& rx) {
+  std::vector<std::uint8_t> out;
+  rx.read(rx.available(), out);
+  return out;
+}
+
 // --- TcpReassembly ---------------------------------------------------------
 
-TEST(TcpReassemblyTest, InOrderCompletes) {
+TEST(TcpReassemblyTest, InOrderAndCursor) {
   TcpReassembly rx;
   const auto data = pattern(10);
-  EXPECT_TRUE(rx.add(0, sub(data, 0, 4), false));
-  EXPECT_FALSE(rx.complete());
-  EXPECT_TRUE(rx.add(4, sub(data, 4, 6), true));
-  ASSERT_TRUE(rx.complete());
-  EXPECT_EQ(rx.total(), 10u);
-  EXPECT_EQ(rx.take(), data);
+  EXPECT_TRUE(rx.add(0, sub(data, 0, 4)));
+  EXPECT_EQ(rx.available(), 4u);
+  EXPECT_TRUE(rx.add(4, sub(data, 4, 6)));
+  ASSERT_EQ(rx.available(), 10u);
+  EXPECT_EQ(rx.peek(9), data[9]);
+  // Cut the front off, skip a byte, and rebase: the cursor keeps its place
+  // in the stream while the origin moves.
+  std::vector<std::uint8_t> head;
+  rx.read(3, head);
+  EXPECT_EQ(head, std::vector<std::uint8_t>(data.begin(), data.begin() + 3));
+  rx.skip(1);
+  EXPECT_EQ(rx.consumed(), 4u);
+  EXPECT_EQ(rx.rebase(), 4u);
+  EXPECT_EQ(rx.consumed(), 0u);
+  EXPECT_EQ(rx.available(), 6u);
+  EXPECT_EQ(rx.peek(0), data[4]);
+  EXPECT_EQ(read_all(rx),
+            std::vector<std::uint8_t>(data.begin() + 4, data.end()));
+  EXPECT_EQ(rx.available(), 0u);
+  rx.discard();
 }
 
 TEST(TcpReassemblyTest, OutOfOrderOverlapAndDuplicates) {
   const auto data = pattern(9, 3);
   TcpReassembly rx;
-  // Tail first (fixes the total), then a middle duplicate pair, then a head
-  // segment overlapping the middle — the assembled stream is still exact.
-  EXPECT_TRUE(rx.add(6, sub(data, 6, 3), true));
-  EXPECT_FALSE(rx.complete());
-  EXPECT_TRUE(rx.add(3, sub(data, 3, 3), false));
-  EXPECT_TRUE(rx.add(3, sub(data, 3, 3), false));
-  EXPECT_FALSE(rx.complete());
-  EXPECT_TRUE(rx.add(0, sub(data, 0, 5), false));
-  ASSERT_TRUE(rx.complete());
-  EXPECT_EQ(rx.take(), data);
+  // Tail first, then a middle duplicate pair, then a head segment
+  // overlapping the middle — the assembled stream is still exact, and no
+  // byte is available before the gap at the front closes.
+  EXPECT_TRUE(rx.add(6, sub(data, 6, 3)));
+  EXPECT_EQ(rx.available(), 0u);
+  EXPECT_TRUE(rx.add(3, sub(data, 3, 3)));
+  EXPECT_TRUE(rx.add(3, sub(data, 3, 3)));
+  EXPECT_EQ(rx.available(), 0u);
+  EXPECT_TRUE(rx.add(0, sub(data, 0, 5)));
+  ASSERT_EQ(rx.available(), 9u);
+  EXPECT_EQ(read_all(rx), data);
 }
 
 TEST(TcpReassemblyTest, RangeTableOverflowDropsSegment) {
@@ -91,26 +134,27 @@ TEST(TcpReassemblyTest, RangeTableOverflowDropsSegment) {
   const auto data = pattern(64);
   // kMaxRanges disjoint one-byte islands fill the inline table...
   for (std::size_t i = 0; i < TcpReassembly::kMaxRanges; ++i) {
-    EXPECT_TRUE(rx.add(i * 4, sub(data, i * 4, 1), false));
+    EXPECT_TRUE(rx.add(i * 4, sub(data, i * 4, 1)));
   }
   // ...a further disjoint island is dropped (stream will stall into the
-  // connection timeout), but a segment that merges into an existing range
+  // message timeout), but a segment that merges into an existing range
   // still lands.
-  EXPECT_FALSE(rx.add(60, sub(data, 60, 1), false));
-  EXPECT_TRUE(rx.add(0, sub(data, 0, 2), false));
+  EXPECT_FALSE(rx.add(60, sub(data, 60, 1)));
+  EXPECT_EQ(rx.available(), 1u);
+  EXPECT_TRUE(rx.add(0, sub(data, 0, 2)));
+  EXPECT_EQ(rx.available(), 2u);
   rx.discard();
 }
 
-TEST(TcpReassemblyTest, RejectsOversizedAndInconsistentSegments) {
+TEST(TcpReassemblyTest, RejectsOversizedSegments) {
   TcpReassembly rx;
   const auto data = pattern(4);
-  EXPECT_FALSE(
-      rx.add(TcpReassembly::kMaxStreamBytes, sub(data, 0, 4), false));
-  EXPECT_TRUE(rx.add(0, sub(data, 0, 4), true));  // total fixed at 4
-  EXPECT_FALSE(rx.add(4, sub(data, 0, 4), false));  // beyond the total
-  EXPECT_FALSE(rx.add(0, sub(data, 0, 3), true));   // conflicting total
-  ASSERT_TRUE(rx.complete());
-  EXPECT_EQ(rx.take(), data);
+  EXPECT_FALSE(rx.add(TcpReassembly::kMaxStreamBytes, sub(data, 0, 4)));
+  // One byte past the cap is enough to drop the whole segment.
+  EXPECT_FALSE(rx.add(TcpReassembly::kMaxStreamBytes - 3, sub(data, 0, 4)));
+  EXPECT_EQ(rx.available(), 0u);
+  EXPECT_TRUE(rx.add(0, sub(data, 0, 4)));
+  EXPECT_EQ(read_all(rx), data);
 }
 
 // --- segmentation against a live host pair ---------------------------------
@@ -159,23 +203,22 @@ std::vector<Seg> data_segments(const pcap::Capture& capture,
   return segs;
 }
 
-/// One exchange where the server answers with `resp_size` patterned bytes;
-/// returns the captured server->client data segments and the client's
-/// reassembled reply.
+/// One exchange where the server answers with a framed response of exactly
+/// `resp_size` stream bytes; returns the captured server->client data
+/// segments and the client's reassembled reply.
 void exchange_sized(std::size_t resp_size, std::vector<Seg>& segs,
                     std::vector<std::uint8_t>& reply) {
   TcpFixture f;
-  const auto body = pattern(resp_size, 0x5A);
   f.server->tcp_listen(
-      53, [&body](const sim::TcpConnInfo&, std::span<const std::uint8_t>) {
-        return cd::GatherBuf(body);
+      53, [resp_size](const sim::TcpConnInfo&,
+                      std::span<const std::uint8_t> req) {
+        return framed_stream(resp_size, framed_id(req), 0x5A);
       });
   pcap::Capture capture;
   f.network.attach_capture(capture);
   std::optional<std::vector<std::uint8_t>> r;
-  f.client->tcp_connect(f.caddr, f.saddr, 53,
-                        std::vector<std::uint8_t>{1, 2, 3},
-                        [&r](auto x) { r = std::move(x); });
+  f.client->tcp_query(f.caddr, f.saddr, 53, query(),
+                      [&r](auto x) { r = std::move(x); });
   f.loop.run();
   ASSERT_TRUE(r.has_value());
   reply = std::move(*r);
@@ -192,7 +235,7 @@ TEST(TcpSegmentation, ResponseExactlyAtMssIsOneSegment) {
   exchange_sized(kMss, segs, reply);
   ASSERT_EQ(segs.size(), 1u);
   EXPECT_EQ(segs[0].payload.size(), kMss);
-  EXPECT_EQ(reply, pattern(kMss, 0x5A));
+  EXPECT_EQ(reply, framed_stream(kMss, kQueryId, 0x5A).to_vector());
 }
 
 TEST(TcpSegmentation, ResponseOneByteOverMssSplitsInTwo) {
@@ -204,12 +247,12 @@ TEST(TcpSegmentation, ResponseOneByteOverMssSplitsInTwo) {
   EXPECT_EQ(segs[1].payload.size(), 1u);
   // Sequence numbers advance by actual payload bytes.
   EXPECT_EQ(segs[1].seq, segs[0].seq + kMss);
-  EXPECT_EQ(reply, pattern(kMss + 1, 0x5A));
+  EXPECT_EQ(reply, framed_stream(kMss + 1, kQueryId, 0x5A).to_vector());
 }
 
 TEST(TcpSegmentation, MultiSegmentStreamConcatenatesToFramedResponse) {
   TcpFixture f;
-  const cd::GatherBuf resp = framed(pattern(8000, 0x11));
+  const cd::GatherBuf resp = framed_stream(8002, kQueryId, 0x11);
   const std::vector<std::uint8_t> expected = resp.to_vector();
   f.server->tcp_listen(
       53, [&resp](const sim::TcpConnInfo&, std::span<const std::uint8_t>) {
@@ -218,9 +261,8 @@ TEST(TcpSegmentation, MultiSegmentStreamConcatenatesToFramedResponse) {
   pcap::Capture capture;
   f.network.attach_capture(capture);
   std::optional<std::vector<std::uint8_t>> r;
-  f.client->tcp_connect(f.caddr, f.saddr, 53,
-                        std::vector<std::uint8_t>{0, 2, 0xAB, 0xCD},
-                        [&r](auto x) { r = std::move(x); });
+  f.client->tcp_query(f.caddr, f.saddr, 53, query(),
+                      [&r](auto x) { r = std::move(x); });
   f.loop.run();
 
   // The client's reassembled stream is byte-identical to the framed
@@ -265,12 +307,11 @@ ExchangeOutcome run_exchange_with_timeout(sim::SimTime timeout,
             std::vector<std::uint8_t>(req.begin(), req.end()));
       });
   ExchangeOutcome out;
-  f.client->tcp_connect(f.caddr, f.saddr, 53,
-                        std::vector<std::uint8_t>{9, 9, 9},
-                        [&out](auto r) {
-                          if (r.has_value()) ++out.replies;
-                        },
-                        timeout);
+  f.client->tcp_query(f.caddr, f.saddr, 53, query(),
+                      [&out](auto r) {
+                        if (r.has_value()) ++out.replies;
+                      },
+                      timeout);
   f.loop.run(budget);
   EXPECT_EQ(out.replies, 1);
   EXPECT_EQ(f.client->open_tcp_connections(), 0u);
@@ -281,9 +322,10 @@ ExchangeOutcome run_exchange_with_timeout(sim::SimTime timeout,
 }
 
 TEST(TcpTeardown, NoStrayTimeoutAndStableEventAccounting) {
-  // A successful exchange cancels the client's timeout and erases the
-  // connection entry on the spot: the executed-event count must not depend
-  // on the timeout value (the cancelled timer never runs, never counts).
+  // A successful exchange cancels the client's timeout and the server's
+  // half-open reaper and erases both connection entries on the spot: the
+  // executed-event count must not depend on the timeout value (a cancelled
+  // timer never runs, never counts).
   const ExchangeOutcome a = run_exchange_with_timeout(5 * sim::kSecond);
   const ExchangeOutcome b = run_exchange_with_timeout(3600 * sim::kSecond);
   EXPECT_EQ(a.executed, b.executed);
@@ -309,17 +351,20 @@ TEST(TcpTimeout, TruncatedMidStreamTimesOut) {
     if (!pkt.payload.empty() && pkt.tcp_flags.psh && !injected) {
       injected = true;
       // The client finished streaming its request: answer with the first
-      // and last kilobyte of a 3000-byte stream — the middle never comes.
+      // and last kilobyte of a 3000-byte framed reply carrying the query's
+      // ID — the middle never comes.
       f.loop.schedule_at(
           now + 50 * sim::kMillisecond, [&f, &fake, sport = pkt.src_port] {
-            const auto chunk = pattern(1000, 0x77);
-            Packet head = net::make_tcp(fake, 53, f.caddr, sport,
-                                        net::TcpFlags{.ack = true}, chunk);
+            const auto stream =
+                framed_stream(3000, kQueryId, 0x77).to_vector();
+            Packet head = net::make_tcp(
+                fake, 53, f.caddr, sport, net::TcpFlags{.ack = true},
+                {stream.begin(), stream.begin() + 1000});
             head.tcp_seq = 5000 + 1;
             f.network.send(std::move(head), 2);
-            Packet tail =
-                net::make_tcp(fake, 53, f.caddr, sport,
-                              net::TcpFlags{.ack = true, .psh = true}, chunk);
+            Packet tail = net::make_tcp(fake, 53, f.caddr, sport,
+                                        net::TcpFlags{.ack = true, .psh = true},
+                                        {stream.begin() + 2000, stream.end()});
             tail.tcp_seq = 5000 + 1 + 2000;
             f.network.send(std::move(tail), 2);
           });
@@ -327,9 +372,9 @@ TEST(TcpTimeout, TruncatedMidStreamTimesOut) {
   });
 
   std::optional<std::optional<std::vector<std::uint8_t>>> result;
-  f.client->tcp_connect(f.caddr, fake, 53, std::vector<std::uint8_t>{1, 2, 3},
-                        [&result](auto r) { result = std::move(r); },
-                        2 * sim::kSecond);
+  f.client->tcp_query(f.caddr, fake, 53, query(),
+                      [&result](auto r) { result = std::move(r); },
+                      2 * sim::kSecond);
   // The SYN went out synchronously; complete the handshake so the client
   // streams its request and waits on the (truncated) reply.
   ASSERT_TRUE(syn.has_value());
@@ -347,13 +392,42 @@ TEST(TcpTimeout, TruncatedMidStreamTimesOut) {
   EXPECT_EQ(f.client->open_tcp_connections(), 0u);
 }
 
+// --- dialing ----------------------------------------------------------------
+
+TEST(TcpDial, NoFreeEphemeralPortThrows) {
+  // A one-port ephemeral range: the second concurrent query toward the same
+  // server finds its only 4-tuple live. It must fail loudly rather than
+  // send a SYN on the other connection's 4-tuple and lose a query.
+  TcpFixture f(17);
+  sim::OsProfile one_port = sim::os_profile(sim::OsId::kUbuntu1904);
+  one_port.ephemeral_hi = one_port.ephemeral_lo;
+  Host client(f.network, 1, one_port,
+              std::vector<IpAddr>{IpAddr::must_parse("21.0.0.6")}, Rng(3));
+  f.server->tcp_listen(
+      53, [](const sim::TcpConnInfo&, std::span<const std::uint8_t> req) {
+        return cd::GatherBuf(std::vector<std::uint8_t>(req.begin(), req.end()));
+      });
+  const IpAddr src = client.addresses().front();
+  std::optional<std::vector<std::uint8_t>> first;
+  client.tcp_query(src, f.saddr, 53, query(),
+                   [&first](auto r) { first = std::move(r); });
+  EXPECT_THROW(client.tcp_query(src, f.saddr, 53, query(), [](auto) {}),
+               InvariantError);
+  // The refused dial left the first exchange untouched.
+  f.loop.run();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(*first, query().to_vector());
+  EXPECT_EQ(client.open_tcp_connections(), 0u);
+  EXPECT_EQ(client.transport_counters().dials, 1u);
+}
+
 // --- segmented stream integrity ---------------------------------------------
 
 TEST(TcpSegmentation, SegmentedStreamReassemblesAcrossSeeds) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
     TcpFixture f(seed);
-    const cd::GatherBuf resp =
-        framed(pattern(4000 + seed % 700, static_cast<std::uint8_t>(seed)));
+    const cd::GatherBuf resp = framed_stream(
+        4002 + seed % 700, kQueryId, static_cast<std::uint8_t>(seed));
     const std::vector<std::uint8_t> expected = resp.to_vector();
     f.server->tcp_listen(
         53, [&resp](const sim::TcpConnInfo&, std::span<const std::uint8_t>) {
@@ -362,9 +436,8 @@ TEST(TcpSegmentation, SegmentedStreamReassemblesAcrossSeeds) {
     pcap::Capture capture;
     f.network.attach_capture(capture);
     std::optional<std::vector<std::uint8_t>> reply;
-    f.client->tcp_connect(f.caddr, f.saddr, 53,
-                          std::vector<std::uint8_t>{0, 2, 0xAB, 0xCD},
-                          [&reply](auto x) { reply = std::move(x); });
+    f.client->tcp_query(f.caddr, f.saddr, 53, query(),
+                        [&reply](auto x) { reply = std::move(x); });
     f.loop.run();
     // The stream reassembles to the exact framed response, and the captured
     // MSS-capped payloads concatenate to the same bytes.

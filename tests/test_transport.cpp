@@ -2,14 +2,14 @@
 // idle-timeout edge semantics (an exchange landing exactly on the idle
 // deadline loses to the close; one tick earlier survives; reuse after a
 // server close falls back to a fresh dial), DoT-style handshake cost, the
-// one-shot fallback, and the campaign differential proving per-target reply
-// bytes identical between the one-shot baseline and the persistent
-// transport — while dial (SYN) counts drop — across seeds, disk spills and,
-// in these small worlds, shard counts. Reply bytes hold across shard counts
-// only for targets whose first_hit_time does: the battery starts at the
-// first hit and its query names encode their send time, so forwarders whose
-// first hit depends on shared public-resolver cache warmness legitimately
-// differ by layout in larger worlds (see
+// one-shot mode (one dial per message, ID-paired replies, no FIN), and the
+// campaign differential proving per-target reply bytes identical between
+// one-shot and persistent transport — while dial (SYN) counts drop — across
+// seeds, disk spills and, in these small worlds, shard counts. Reply bytes
+// hold across shard counts only for targets whose first_hit_time does: the
+// battery starts at the first hit and its query names encode their send
+// time, so forwarders whose first hit depends on shared public-resolver
+// cache warmness legitimately differ by layout in larger worlds (see
 // ExperimentResults::transport_replies).
 #include <gtest/gtest.h>
 
@@ -383,27 +383,59 @@ TEST(TransportDot, HandshakePaysBytesAndSetupDelayOncePerConnection) {
 
 // --- one-shot fallback -------------------------------------------------------
 
-TEST(TransportFallback, TcpQueryWithoutPersistenceIsExactlyOneShot) {
+TEST(TransportFallback, OneShotQueriesEachDialAndEndWithoutFin) {
   TransportFixture f(TransportOptions{});  // persistent off (the default)
   f.serve_echo();
+  int fins = 0;
+  f.network.add_tap([&fins](const Packet& pkt, sim::DropReason, SimTime) {
+    if (pkt.tcp_flags.fin) ++fins;
+  });
 
-  std::optional<std::vector<std::uint8_t>> via_query;
-  std::optional<std::vector<std::uint8_t>> via_connect;
+  std::optional<std::vector<std::uint8_t>> first;
+  std::optional<std::vector<std::uint8_t>> second;
   f.client->tcp_query(f.caddr, f.saddr, 53, framed_msg(0x5001),
-                      [&](auto r) { via_query = std::move(r); });
-  f.client->tcp_connect(f.caddr, f.saddr, 53, framed_msg(0x5001),
-                        [&](auto r) { via_connect = std::move(r); });
+                      [&](auto r) { first = std::move(r); });
+  f.client->tcp_query(f.caddr, f.saddr, 53, framed_msg(0x5002),
+                      [&](auto r) { second = std::move(r); });
   f.loop.run();
 
-  ASSERT_TRUE(via_query.has_value());
-  ASSERT_TRUE(via_connect.has_value());
-  EXPECT_EQ(*via_query, *via_connect);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*first, framed_msg(0x5001).to_vector());
+  EXPECT_EQ(*second, framed_msg(0x5002).to_vector());
+  // One connection per message, each carrying one exchange that both ends
+  // forget without a FIN; session counters stay untouched off-knob.
   const TransportCounters total = f.network.transport_counters();
-  EXPECT_EQ(total.dials, 2u);  // one dial per message: no reuse off-knob
+  EXPECT_EQ(total.dials, 2u);
+  EXPECT_EQ(total.accepts, 2u);
   EXPECT_EQ(total.session_reuses, 0u);
   EXPECT_EQ(total.session_messages, 0u);
   EXPECT_EQ(total.idle_closes, 0u);
   EXPECT_EQ(total.handshake_bytes, 0u);
+  EXPECT_EQ(fins, 0);
+  EXPECT_EQ(f.network.open_tcp_connections(), 0u);
+  EXPECT_EQ(f.loop.pending(), 0u);
+}
+
+TEST(TransportFallback, OneShotReplyIsPairedByMessageId) {
+  // A one-shot reply pairs by DNS message ID like a session reply: a
+  // response carrying another ID is dropped and the query times out.
+  TransportFixture f(TransportOptions{});
+  f.server->tcp_listen(
+      53, [](const sim::TcpConnInfo&, std::span<const std::uint8_t> msg) {
+        return framed_msg(static_cast<std::uint16_t>(framed_id(
+                              {msg.begin(), msg.end()}) + 1))
+            .to_vector();
+      });
+  std::optional<std::optional<std::vector<std::uint8_t>>> reply;
+  f.client->tcp_query(f.caddr, f.saddr, 53, framed_msg(0x6001),
+                      [&reply](auto r) { reply = std::move(r); },
+                      2 * sim::kSecond);
+  f.loop.run();
+
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_FALSE(reply->has_value()) << "a wrong-ID reply must not pair";
+  EXPECT_EQ(f.loop.now(), 2 * sim::kSecond);  // failed at the timeout
   EXPECT_EQ(f.network.open_tcp_connections(), 0u);
 }
 

@@ -67,7 +67,7 @@ struct RunOptions {
 /// Parses --scale=X --seed=N --threads=N --shards=N (unknown args ignored,
 /// so benches keep working under tooling that appends its own flags;
 /// malformed values exit via parse_number). --scale must be positive (and
-/// large enough to leave at least one AS: run_standard_experiment exits 2
+/// must ask for 1 to INT_MAX ASes: run_standard_experiment exits 2
 /// otherwise) and --threads/--shards at least 1. --threads alone implies one
 /// shard per thread.
 inline RunOptions parse_run_options(int argc, char** argv) {
@@ -86,8 +86,6 @@ inline RunOptions parse_run_options(int argc, char** argv) {
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
       opt.shards = parse_number<std::size_t>("--shards", arg + 9, 1);
       shards_given = true;
-    } else if (std::strcmp(arg, "--wildcard") == 0) {
-      opt.wildcard_answers = true;
     }
   }
   if (!shards_given) opt.shards = opt.threads;
@@ -103,12 +101,16 @@ struct Run {
 
 inline Run run_standard_experiment(const RunOptions& options = {}) {
   cd::ditl::WorldSpec spec = cd::ditl::bench_world_spec();
-  spec.n_asns = static_cast<int>(spec.n_asns * options.scale);
-  if (spec.n_asns < 1) {
-    std::fprintf(stderr, "error: --scale=%g leaves the world with no ASes\n",
-                 options.scale);
+  // In double: a product beyond INT_MAX must not reach the int cast.
+  const double n_asns = spec.n_asns * options.scale;
+  if (!(n_asns >= 1 && n_asns <= std::numeric_limits<int>::max())) {
+    std::fprintf(stderr,
+                 "error: --scale=%g asks for %g ASes; the world needs 1 to "
+                 "%d\n",
+                 options.scale, n_asns, std::numeric_limits<int>::max());
     std::exit(2);
   }
+  spec.n_asns = static_cast<int>(n_asns);
   spec.wildcard_answers = options.wildcard_answers;
   spec.seed = options.seed;
 
@@ -142,7 +144,7 @@ inline Run run_standard_experiment(const RunOptions& options = {}) {
   std::printf(
       "# world: %zu ASes, %zu resolvers, %zu targets (gen %lldms)\n"
       "# campaign: %llu probes, %llu auth queries observed (run %lldms), "
-      "digest %016llx\n\n",
+      "digest %016llx\n",
       run.world->topology.as_count(), run.world->resolvers.size(),
       run.world->targets.size(), static_cast<long long>(gen.count()),
       static_cast<unsigned long long>(run.results.queries_sent),

@@ -83,6 +83,7 @@ ASAN_OPTIONS=detect_leaks=1 \
 echo "=== UBSan build + ${UBSAN_LABELS//|//} ctest ==="
 # The cli label runs bench binaries with malformed flag values or unknown
 # flags: the strict parsers must reject them before any campaign starts.
+# It also runs reproduce on a small world through every section it prints.
 # The example label runs each examples/ program to completion, and the
 # micro label the BM_TcpResponse/512 microbench, failing on its error line.
 cmake -B "${PREFIX}-ubsan" -S . -DCD_SANITIZE=undefined >/dev/null

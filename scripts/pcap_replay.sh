@@ -26,7 +26,7 @@ OUT="${BUILD}/replay.pcap"
 
 echo "=== build ==="
 cmake -B "${BUILD}" -S . >/dev/null
-cmake --build "${BUILD}" -j --target pcap_export passive_comparison
+cmake --build "${BUILD}" -j --target pcap_export reproduce
 
 echo "=== export: campaign -> ${OUT} (+.idx) ==="
 # Delivered packets only: a passive tap never sees traffic the borders
@@ -40,7 +40,7 @@ else
   echo "=== tcpdump not installed; skipping independent read-back ==="
 fi
 
-echo "=== replay: ${OUT} -> passive comparison ==="
-"${BUILD}/bench/passive_comparison" "${SCALE}" "${SEED}" --pcap="${OUT}"
+echo "=== replay: ${OUT} -> reproduce (§5.2.2 passive comparison) ==="
+"${BUILD}/bench/reproduce" "${SCALE}" "${SEED}" --pcap="${OUT}"
 
 echo "=== pcap_replay.sh: round trip complete ==="

@@ -250,8 +250,8 @@ struct TcpFixture {
                    std::vector<net::IpAddr>{net::IpAddr::must_parse("22.0.0.1")},
                    Rng(2));
     server->tcp_listen(
-        53, [this](const sim::TcpConnInfo&,
-                   std::span<const std::uint8_t> req) {
+        53, [this](const sim::TcpConnInfo&, std::span<const std::uint8_t> req,
+                   sim::Host::TcpSessionReply reply) {
           body[0] = req[2];  // echo the ID
           body[1] = req[3];
           cd::GatherBuf resp(body);
@@ -259,7 +259,7 @@ struct TcpFixture {
               static_cast<std::uint8_t>(body.size() >> 8),
               static_cast<std::uint8_t>(body.size())};
           resp.set_header(prefix);
-          return resp;
+          reply(std::move(resp));
         });
   }
 };

@@ -7,19 +7,20 @@
 # suite (label "transport", whose campaign differential does the same with
 # pipelined sessions) and the event-core suite (label "eventcore"),
 # AddressSanitizer over the fuzz + pcap + batched-delivery + tcp +
-# transport + campaign + crosscheck + poison labels (bit-flip/truncation
-# fuzzing only proves "throws, never over-reads" when the reads are
-# instrumented, and the TCP reassembly/segment/session paths exercise the
-# pooled-buffer recycling hardest), and UndefinedBehaviorSanitizer over the
-# same labels plus the full unit suite (shift/overflow/alignment UB in the
-# byte codecs), the golden-table pins (label "golden"), the allocation
-# regression (label "alloc": UBSan does not replace operator new, so its
-# counters hold), the bench flag-rejection tests (label "cli"), the five
-# examples run end to end (label "example") and a short run of the one-shot
-# TCP exchange microbench (label "micro"). A final
-# label audit fails the run if a tests/test_*.cpp is unregistered, a
-# registered test carries no label, or a label runs in no sanitizer lane
-# without a written exclusion.
+# transport + campaign + crosscheck + poison + eventcore labels
+# (bit-flip/truncation fuzzing only proves "throws, never over-reads" when
+# the reads are instrumented, the TCP reassembly/segment/session paths
+# exercise the pooled-buffer recycling hardest, and the timing wheel's
+# intrusive node pool and cascade scratch are raw pointers), and
+# UndefinedBehaviorSanitizer over the same labels plus the full unit suite
+# (shift/overflow/alignment UB in the byte codecs), the golden-table pins
+# (label "golden"), the allocation regression (label "alloc": UBSan does
+# not replace operator new, so its counters hold), the bench
+# flag-rejection tests (label "cli"), the five examples run end to end
+# (label "example") and a short run of the one-shot TCP exchange
+# microbench (label "micro"). A final label audit fails the run if a
+# tests/test_*.cpp is unregistered, a registered test carries no label,
+# or a label runs in no sanitizer lane without a written exclusion.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]   (default: build-ci)
 # Env:   CD_COVERAGE=1 adds a gcov-instrumented run reporting
@@ -33,7 +34,7 @@ PREFIX="${1:-build-ci}"
 # The label regex each sanitizer lane runs; the audit below checks that
 # every ctest label appears in one of them or in UNSANITIZED_LABELS.
 TSAN_LABELS="parallel|tcp|transport|eventcore"
-ASAN_LABELS="fuzz|pcap|batched|tcp|transport|campaign|crosscheck|poison"
+ASAN_LABELS="fuzz|pcap|batched|tcp|transport|campaign|crosscheck|poison|eventcore"
 UBSAN_LABELS="unit|pcap|batched|fuzz|tcp|transport|campaign|crosscheck|poison|cli|golden|alloc|example|micro"
 # Labels deliberately run only in the plain build, as "label: reason" lines.
 UNSANITIZED_LABELS=""
@@ -61,7 +62,7 @@ cmake --build "${PREFIX}-tsan" -j --target test_core_parallel test_sim_tcp \
 ctest --test-dir "${PREFIX}-tsan" -L "${TSAN_LABELS}" \
   --output-on-failure
 
-echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poison ctest ==="
+echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poison/eventcore ctest ==="
 # The campaign label covers the streamed-world + disk-spill battery: the
 # spill truncation/bit-flip fuzz only proves "throws, never over-reads" when
 # the reads are instrumented, and its RSS-budget test asserts the
@@ -69,12 +70,14 @@ echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poiso
 # targets grow. The crosscheck label runs the Closed Resolver differential
 # battery (second scanner plane) under the same instrumentation, and the
 # poison label the off-path attack plane (forged packets are exactly the
-# adversarial inputs the decoder paths must over-read-proof).
+# adversarial inputs the decoder paths must over-read-proof). The eventcore
+# label runs the wheel's reference-model property tests, whose randomized
+# cancel/cascade programs recycle pooled nodes under instrumentation.
 cmake -B "${PREFIX}-asan" -S . -DCD_SANITIZE=address >/dev/null
 cmake --build "${PREFIX}-asan" -j --target \
   test_util_bytes test_dns_message test_util_pcap test_golden_pcap \
   test_sim_batched test_sim_tcp test_net_checksum test_campaign_stream \
-  test_crosscheck test_attack_poisoning test_transport
+  test_crosscheck test_attack_poisoning test_transport test_sim_event_core
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir "${PREFIX}-asan" \
   -L "${ASAN_LABELS}" \

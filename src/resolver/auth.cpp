@@ -46,7 +46,7 @@ AuthServer::AuthServer(cd::sim::Host& host, AuthConfig config)
   // connection carries one exchange (the reply retires it); with it on the
   // same handler answers every frame of a pipelined session, and the
   // network-wide idle window bounds how long a quiet session is kept open.
-  host_.tcp_listen_session(
+  host_.tcp_listen(
       53, [this](const cd::sim::TcpConnInfo& info,
                  std::span<const std::uint8_t> request,
                  cd::sim::Host::TcpSessionReply reply) {

@@ -45,7 +45,7 @@ RecursiveResolver::RecursiveResolver(cd::sim::Host& host,
   bound_ports_[53] = 1;  // service port is always bound
   host_.bind_udp(53, [this](const Packet& pkt) { dispatch_udp(pkt); });
   // RFC 7766: the resolver answers the same client queries over TCP-53.
-  host_.tcp_listen_session(
+  host_.tcp_listen(
       53, [this](const cd::sim::TcpConnInfo& info,
                  std::span<const std::uint8_t> framed,
                  cd::sim::Host::TcpSessionReply reply) {

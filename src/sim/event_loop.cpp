@@ -38,6 +38,12 @@ bool any_bit_le(const std::uint64_t bm[4], int upto) {
   return false;
 }
 
+/// Wheel level of an event `delta` ticks ahead of the cursor: the index of
+/// its highest non-zero byte (level 0 for delta 0).
+int level_of(std::uint64_t delta) {
+  return delta == 0 ? 0 : (63 - std::countl_zero(delta)) >> 3;
+}
+
 }  // namespace
 
 EventLoop::~EventLoop() {
@@ -65,47 +71,14 @@ EventId EventLoop::schedule_in(SimTime delay, Callback fn) {
   return schedule_at(at, std::move(fn));
 }
 
-EventId EventLoop::schedule_batched(SimTime at, BatchKey key, Callback fn) {
-  at = clamp_at(at);
-  const auto it = open_batches_.find(Slot{at, key});
-  if (it != open_batches_.end()) {
-    it->second->items.push_back(std::move(fn));
-    return node_id(it->second);
-  }
-  Node* n = alloc_node();
-  n->at = at;
-  n->is_batch = true;
-  n->key = key;
-  n->items.push_back(std::move(fn));
-  wheel_place(n);
-  if (!open_batch_pool_.empty()) {
-    auto handle = std::move(open_batch_pool_.back());
-    open_batch_pool_.pop_back();
-    handle.key() = Slot{at, key};
-    handle.mapped() = n;
-    open_batches_.insert(std::move(handle));
-  } else {
-    open_batches_.emplace(Slot{at, key}, n);
-  }
-  return node_id(n);
-}
-
 void EventLoop::cancel(EventId id) {
   Node* n = node_for(id);
-  if (n == nullptr || n->cancelled) return;
-  if (n->queued) {
-    n->cancelled = true;
-    --live_;
-    if (n->is_batch) close_batch(n->at, n->key, n);
-  } else if (n->draining) {
-    // Cancel from inside the running batch: the drain loop checks the flag
-    // after every item and skips the remainder. The open slot was already
-    // closed when the drain started.
-    n->cancelled = true;
-  }
-  // Neither queued nor draining: a free-list node whose generation happens
-  // to match a guessed id — nothing to do (ids of executed events never
-  // match again; recycle bumped the generation).
+  // A node off the wheel is on the free list and its generation happens to
+  // match a guessed id — nothing to do (ids of executed events never match
+  // again; recycle bumped the generation).
+  if (n == nullptr || !n->queued || n->cancelled) return;
+  n->cancelled = true;
+  --live_;
 }
 
 void EventLoop::run(std::uint64_t max_events) {
@@ -154,8 +127,7 @@ EventLoop::Node* EventLoop::alloc_node() {
 
 void EventLoop::recycle_node(Node* n) {
   n->fn.reset();
-  n->items.clear();  // destroys callbacks, keeps capacity for reuse
-  n->queued = n->draining = n->cancelled = n->is_batch = false;
+  n->queued = n->cancelled = false;
   ++n->gen;  // invalidates every EventId handed out for this incarnation
   n->next = free_nodes_;
   free_nodes_ = n;
@@ -173,9 +145,7 @@ EventLoop::Node* EventLoop::node_for(EventId id) {
 
 void EventLoop::wheel_place(Node* n) {
   const auto at = static_cast<std::uint64_t>(n->at);
-  const auto delta = static_cast<std::uint64_t>(n->at - now_);
-  const int level =
-      delta == 0 ? 0 : (63 - std::countl_zero(delta)) >> 3;
+  const int level = level_of(static_cast<std::uint64_t>(n->at - now_));
   const int slot = static_cast<int>((at >> (level * kSlotBits)) & 0xFF);
   WheelSlot& s = slots_[level][slot];
   n->next = nullptr;
@@ -190,34 +160,14 @@ void EventLoop::wheel_place(Node* n) {
   ++live_;
 }
 
-void EventLoop::wheel_cascade(int level, int slot) {
+void EventLoop::wheel_collect(int level, int slot) {
   WheelSlot& s = slots_[level][slot];
   if (s.head == nullptr) return;
-  cascade_scratch_.clear();
   for (Node* n = s.head; n != nullptr; n = n->next) {
     cascade_scratch_.push_back(n);
   }
   s.head = s.tail = nullptr;
   bit_clear(bitmap_[level], slot);
-  // Walk the (scheduling-ordered) slot list in REVERSE and prepend each node to its
-  // target slot: the group keeps its internal order, and it lands ahead of
-  // any same-`at` nodes already placed below — which were necessarily
-  // scheduled later (reaching a lower level requires a smaller delta, i.e. a
-  // later scheduling time for the same absolute time). That is exactly the
-  // same-tick FIFO in scheduling order.
-  for (auto it = cascade_scratch_.rbegin(); it != cascade_scratch_.rend();
-       ++it) {
-    Node* n = *it;
-    const auto at = static_cast<std::uint64_t>(n->at);
-    const auto delta = static_cast<std::uint64_t>(n->at - now_);
-    const int lv = delta == 0 ? 0 : (63 - std::countl_zero(delta)) >> 3;
-    const int sl = static_cast<int>((at >> (lv * kSlotBits)) & 0xFF);
-    WheelSlot& target = slots_[lv][sl];
-    n->next = target.head;
-    target.head = n;
-    if (target.tail == nullptr) target.tail = n;
-    bit_set(bitmap_[lv], sl);
-  }
 }
 
 bool EventLoop::wheel_advance(SimTime until) {
@@ -279,28 +229,38 @@ bool EventLoop::wheel_advance(SimTime until) {
     }
     const auto old = static_cast<std::uint64_t>(now_);
     now_ = best;
-    // Cascade every slot the cursor just entered, top-down. "Entered" means
-    // the position byte at that level (or any byte above it — a full wrap of
-    // this level) changed.
+    // Cascade every slot the cursor just entered. "Entered" means the
+    // position byte at that level (or any byte above it — a full wrap of
+    // this level) changed. Collecting the entered slots top-down, each in
+    // list order, yields scheduling order for every tick: a same-`at` node
+    // sits at a higher level only if it was scheduled earlier (a larger
+    // delta for the same absolute time). One REVERSE pass then prepends each
+    // node to its target slot, so the group keeps that order and lands ahead
+    // of same-`at` nodes already placed below, which were scheduled later
+    // still. Placing slot by slot instead would let a lower level's younger
+    // group jump ahead. A cascaded node never lands in an entered slot: its
+    // delta is below that slot's span.
+    cascade_scratch_.clear();
     for (int level = kLevels - 1; level >= 1; --level) {
       if (((old ^ static_cast<std::uint64_t>(now_)) >>
            (level * kSlotBits)) != 0) {
-        wheel_cascade(level, static_cast<int>(
+        wheel_collect(level, static_cast<int>(
                                  (static_cast<std::uint64_t>(now_) >>
                                   (level * kSlotBits)) &
                                  0xFF));
       }
     }
-  }
-}
-
-void EventLoop::close_batch(SimTime at, BatchKey key, const Node* node) {
-  const auto it = open_batches_.find(Slot{at, key});
-  if (it != open_batches_.end() && it->second == node) {
-    constexpr std::size_t kOpenPoolCap = 64;
-    auto handle = open_batches_.extract(it);
-    if (open_batch_pool_.size() < kOpenPoolCap) {
-      open_batch_pool_.push_back(std::move(handle));
+    for (auto it = cascade_scratch_.rbegin(); it != cascade_scratch_.rend();
+         ++it) {
+      Node* n = *it;
+      const auto at = static_cast<std::uint64_t>(n->at);
+      const int lv = level_of(static_cast<std::uint64_t>(n->at - now_));
+      const int sl = static_cast<int>((at >> (lv * kSlotBits)) & 0xFF);
+      WheelSlot& target = slots_[lv][sl];
+      n->next = target.head;
+      target.head = n;
+      if (target.tail == nullptr) target.tail = n;
+      bit_set(bitmap_[lv], sl);
     }
   }
 }
@@ -328,29 +288,13 @@ bool EventLoop::pop_one(std::uint64_t& n, std::uint64_t max_events,
     }
     --live_;
     last_exec = now_;
-    if (!node->is_batch) {
-      Callback fn = std::move(node->fn);
-      // Recycle before invoking: the callback may schedule (reusing this
-      // node) or cancel its own id (generation bumped -> safe no-op).
-      recycle_node(node);
-      ++executed_;
-      fn();
-      CD_ENSURE(++n <= max_events, what);
-      return true;
-    }
-    // Batch entry: close the slot before running so same-tick appends made
-    // by items (or after run_until) open a new batch, then drain in append
-    // order. An item cancelling the running batch skips the remainder.
-    node->draining = true;
-    close_batch(node->at, node->key, node);
-    for (std::size_t i = 0; i < node->items.size(); ++i) {
-      ++executed_;
-      node->items[i]();
-      CD_ENSURE(++n <= max_events, what);
-      if (node->cancelled) break;
-    }
-    node->draining = false;
+    Callback fn = std::move(node->fn);
+    // Recycle before invoking: the callback may schedule (reusing this node)
+    // or cancel its own id (generation bumped -> safe no-op).
     recycle_node(node);
+    ++executed_;
+    fn();
+    CD_ENSURE(++n <= max_events, what);
     return true;
   }
 }

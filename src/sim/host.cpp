@@ -185,18 +185,8 @@ void Host::send_udp(const IpAddr& src, std::uint16_t src_port,
   network_.send(std::move(pkt), asn_);
 }
 
-void Host::tcp_listen_session(std::uint16_t port, TcpSessionHandler handler) {
+void Host::tcp_listen(std::uint16_t port, TcpSessionHandler handler) {
   tcp_listeners_[port] = std::move(handler);
-}
-
-void Host::tcp_listen(std::uint16_t port, TcpServerHandler handler) {
-  tcp_listen_session(
-      port,
-      [h = std::move(handler)](const TcpConnInfo& info,
-                               std::span<const std::uint8_t> message,
-                               TcpSessionReply reply) {
-        reply(h(info, message));
-      });
 }
 
 std::uint16_t Host::ephemeral_port() {
@@ -572,10 +562,6 @@ bool Host::stack_accepts(const Packet& packet) const {
     return v4 ? os_.accepts_loopback_v4 : os_.accepts_loopback_v6;
   }
   return true;
-}
-
-void Host::deliver_batch(std::span<Delivery> batch) {
-  for (const Delivery& d : batch) deliver(d.packet);
 }
 
 void Host::deliver(const Packet& packet) {

@@ -97,16 +97,12 @@ class TcpReassembly {
 class Host {
  public:
   using UdpHandler = std::function<void(const cd::net::Packet&)>;
-  /// Serves one framed request (tcp_listen); the returned payload (framing
-  /// header + body, or a plain vector) is streamed back to the client in
-  /// MSS-sized segments.
-  using TcpServerHandler = std::function<cd::GatherBuf(
-      const TcpConnInfo&, std::span<const std::uint8_t>)>;
   /// Receives the framed response matched to a query, or nullopt on
   /// timeout (or when the server closed the session first).
   using TcpResponseHandler =
       std::function<void(std::optional<std::vector<std::uint8_t>>)>;
-  /// Sends one framed response on an accepted connection (no-op once the
+  /// Sends one framed response (framing header + body) on an accepted
+  /// connection, streamed back in MSS-sized segments (no-op once the
   /// connection is gone; an empty GatherBuf sends nothing). Copyable and
   /// deferrable — the serving application may reply asynchronously.
   using TcpSessionReply = std::function<void(cd::GatherBuf)>;
@@ -154,15 +150,13 @@ class Host {
                 std::vector<std::uint8_t> payload);
 
   // --- TCP ---
-  /// Per-message listener. With Network::transport().persistent off an
-  /// accepted connection carries exactly one framed exchange and is
+  /// Per-message listener: `handler` sees each framed message and answers
+  /// through its reply callback. With Network::transport().persistent off
+  /// an accepted connection carries exactly one framed exchange and is
   /// forgotten once the reply is sent (a 30 s reaper drops one whose
   /// request never completes); with it on, the connection is a session:
   /// pipelined and idle-timed by transport().idle_timeout.
-  void tcp_listen_session(std::uint16_t port, TcpSessionHandler handler);
-  /// One-exchange convenience listener: wraps `handler` (which returns its
-  /// response synchronously) in a session handler that replies in place.
-  void tcp_listen(std::uint16_t port, TcpServerHandler handler);
+  void tcp_listen(std::uint16_t port, TcpSessionHandler handler);
   /// Sends one length-prefixed DNS message from `src` (one of this host's
   /// addresses) to (dst, dst_port), segmented at the peer's SYN-advertised
   /// MSS. With transport().persistent off every call dials a connection
@@ -179,15 +173,9 @@ class Host {
   /// Table 6 rules for destination-as-source and loopback-source packets.
   [[nodiscard]] bool stack_accepts(const cd::net::Packet& packet) const;
 
-  /// Entry point used by Network once a packet clears all filters.
+  /// Entry point used by Network once a packet clears all filters; the
+  /// packets of one (arrival tick, host) batch arrive here in send order.
   void deliver(const cd::net::Packet& packet);
-
-  /// Batched entry point: all packets that arrived at this host on one
-  /// simulated tick, in send order. Equivalent to calling deliver() per
-  /// packet (which is exactly what the default implementation does); exists
-  /// so the network hands a same-tick batch over in one call instead of
-  /// scheduling one event-loop closure per packet.
-  void deliver_batch(std::span<Delivery> batch);
 
   /// Draws an ephemeral port from the OS-designated range (used for TCP
   /// client connections; UDP query ports are the resolver's business).

@@ -101,6 +101,36 @@ SimTime Network::pair_base_latency(Asn from, Asn to) {
   return 5 * kMillisecond + static_cast<SimTime>(h % (45 * kMillisecond));
 }
 
+bool Network::egress_drop(Asn origin_asn, const Packet& packet) const {
+  // Origin border, egress: BCP 38 / OSAV.
+  const AsInfo* origin = topology_.find(origin_asn);
+  return origin != nullptr && origin->policy.osav &&
+         !topology_.is_internal(origin_asn, packet.src);
+}
+
+DropReason Network::ingress_drop(Asn dest_asn, const Packet& packet) const {
+  // Destination border, ingress.
+  const AsInfo* dest = topology_.find(dest_asn);
+  if (dest == nullptr) return DropReason::kNone;
+  if (dest->policy.dsav && topology_.is_internal(dest_asn, packet.src)) {
+    return DropReason::kDsav;
+  }
+  if (dest->policy.drop_inbound_martians &&
+      cd::net::is_special_purpose(packet.src)) {
+    return DropReason::kMartian;
+  }
+  if (dest->policy.drop_inbound_same_subnet &&
+      packet.src.family() == packet.dst.family()) {
+    // Strict uRPF at the last hop: a subnet-local source (including the
+    // destination itself) cannot legitimately arrive from outside.
+    const int len = packet.dst.is_v4() ? 24 : 64;
+    if (cd::net::Prefix(packet.dst, len).contains(packet.src)) {
+      return DropReason::kUrpfSubnet;
+    }
+  }
+  return DropReason::kNone;
+}
+
 DropReason Network::classify(const Packet& packet, Asn origin_asn,
                              Host** out_host) {
   *out_host = nullptr;
@@ -110,31 +140,10 @@ DropReason Network::classify(const Packet& packet, Asn origin_asn,
   // is evaluated against that site's AS.
   if (!anycast_.empty()) {
     if (Host* site = anycast_catchment(packet.dst, origin_asn)) {
-      const Asn site_asn = site->asn();
-      if (site_asn != origin_asn) {
-        if (const AsInfo* origin = topology_.find(origin_asn)) {
-          if (origin->policy.osav &&
-              !topology_.is_internal(origin_asn, packet.src)) {
-            return DropReason::kOsav;
-          }
-        }
-        if (const AsInfo* dest = topology_.find(site_asn)) {
-          if (dest->policy.dsav &&
-              topology_.is_internal(site_asn, packet.src)) {
-            return DropReason::kDsav;
-          }
-          if (dest->policy.drop_inbound_martians &&
-              cd::net::is_special_purpose(packet.src)) {
-            return DropReason::kMartian;
-          }
-          if (dest->policy.drop_inbound_same_subnet &&
-              packet.src.family() == packet.dst.family()) {
-            const int len = packet.dst.is_v4() ? 24 : 64;
-            if (cd::net::Prefix(packet.dst, len).contains(packet.src)) {
-              return DropReason::kUrpfSubnet;
-            }
-          }
-        }
+      if (site->asn() != origin_asn) {
+        if (egress_drop(origin_asn, packet)) return DropReason::kOsav;
+        const DropReason ingress = ingress_drop(site->asn(), packet);
+        if (ingress != DropReason::kNone) return ingress;
       }
       if (!site->stack_accepts(packet)) return DropReason::kStackRejected;
       *out_host = site;
@@ -144,40 +153,13 @@ DropReason Network::classify(const Packet& packet, Asn origin_asn,
 
   const auto dst_asn = topology_.asn_of(packet.dst);
   const bool crosses_border = !dst_asn || *dst_asn != origin_asn;
-
-  if (crosses_border) {
-    // Origin border, egress: BCP 38 / OSAV.
-    if (const AsInfo* origin = topology_.find(origin_asn)) {
-      if (origin->policy.osav &&
-          !topology_.is_internal(origin_asn, packet.src)) {
-        return DropReason::kOsav;
-      }
-    }
+  if (crosses_border && egress_drop(origin_asn, packet)) {
+    return DropReason::kOsav;
   }
-
   if (!dst_asn) return DropReason::kUnrouted;
-
   if (crosses_border) {
-    // Destination border, ingress.
-    const AsInfo* dest = topology_.find(*dst_asn);
-    if (dest) {
-      if (dest->policy.dsav && topology_.is_internal(*dst_asn, packet.src)) {
-        return DropReason::kDsav;
-      }
-      if (dest->policy.drop_inbound_martians &&
-          cd::net::is_special_purpose(packet.src)) {
-        return DropReason::kMartian;
-      }
-      if (dest->policy.drop_inbound_same_subnet &&
-          packet.src.family() == packet.dst.family()) {
-        // Strict uRPF at the last hop: a subnet-local source (including the
-        // destination itself) cannot legitimately arrive from outside.
-        const int len = packet.dst.is_v4() ? 24 : 64;
-        if (cd::net::Prefix(packet.dst, len).contains(packet.src)) {
-          return DropReason::kUrpfSubnet;
-        }
-      }
-    }
+    const DropReason ingress = ingress_drop(*dst_asn, packet);
+    if (ingress != DropReason::kNone) return ingress;
   }
 
   Host* host = host_at(packet.dst);
@@ -218,11 +200,6 @@ bool Network::capture_wants(const CaptureEntry& entry, const Packet& packet,
                             DropReason reason, Asn origin_asn) const {
   if (!entry.sink) return false;  // tombstoned
   if (reason != DropReason::kNone && !entry.options.include_drops) {
-    return false;
-  }
-  if (entry.options.host &&
-      !(packet.src == *entry.options.host ||
-        packet.dst == *entry.options.host)) {
     return false;
   }
   if (entry.options.filter &&
@@ -297,11 +274,9 @@ void Network::send(Packet packet, Asn origin_asn) {
           slot = pending_.try_emplace(key).first;
         }
         ++stats_.delivery_batches;
-        // A plain schedule_at, not schedule_batched: this map already keys
-        // batches by (time, host), so the loop-level slot bookkeeping would
-        // only ever coalesce one drain per slot — pure overhead. The tiny
-        // [this, host] capture stays inside the callback's inline storage.
-        // The drain fires exactly at `at`, so now() recovers the slot key.
+        // The tiny [this, host] capture stays inside the callback's inline
+        // storage. The drain fires exactly at `at`, so now() recovers the
+        // slot key.
         loop_.schedule_at(
             at, [this, host] { drain_batch(loop_.now(), host); });
       }
@@ -327,21 +302,14 @@ void Network::drain_batch(SimTime at, Host* host) {
   auto node = pending_.extract(it);
   last_slot_batch_ = nullptr;  // the memoized slot may be this node
   std::vector<Delivery>& batch = node.mapped();
-
-  if (captures_.empty()) {
-    // Hot path: hand the host the whole batch in one call.
-    host->deliver_batch(batch);
-    for (Delivery& d : batch) {
-      cd::BufferPool::release(std::move(d.packet.payload));
-    }
-  } else {
+  for (Delivery& d : batch) {
     // Capture at the wire in front of the destination, packet by packet, so
     // records land in exact delivery order with the arrival timestamp.
-    for (Delivery& d : batch) {
+    if (!captures_.empty()) {
       record_capture(d.packet, DropReason::kNone, d.origin_asn);
-      host->deliver(d.packet);
-      cd::BufferPool::release(std::move(d.packet.payload));
     }
+    host->deliver(d.packet);
+    cd::BufferPool::release(std::move(d.packet.payload));
   }
 
   batch.clear();

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -147,11 +146,8 @@ class Network {
     /// Record packets the network dropped (annotated with the DropReason in
     /// the capture's sidecar index), not just delivered ones.
     bool include_drops = false;
-    /// When set, only packets to or from this address are recorded
-    /// (per-host capture; unset = global).
-    std::optional<cd::net::IpAddr> host;
-    /// Extra predicate; a capture tap records a packet only if every
-    /// configured filter accepts it.
+    /// When set, a capture tap records only the packets it accepts (e.g.
+    /// traffic to or from one host).
     std::function<bool(const cd::net::Packet&, DropReason, Asn origin_asn)>
         filter;
   };
@@ -255,6 +251,14 @@ class Network {
 
   [[nodiscard]] DropReason classify(const cd::net::Packet& packet,
                                     Asn origin_asn, Host** out_host);
+  /// Origin-border egress filter (OSAV): true when `origin_asn` drops the
+  /// packet on its way out.
+  [[nodiscard]] bool egress_drop(Asn origin_asn,
+                                 const cd::net::Packet& packet) const;
+  /// Destination-border ingress filters, in order: DSAV, martian sources,
+  /// subnet uRPF. kNone when `dest_asn` lets the packet in.
+  [[nodiscard]] DropReason ingress_drop(Asn dest_asn,
+                                        const cd::net::Packet& packet) const;
   [[nodiscard]] SimTime latency(Asn from, Asn to,
                                 const cd::net::Packet& packet) const;
   struct PendingSlot {

@@ -3,10 +3,10 @@
 // reference scheduler in tests/reference_scheduler.h.
 //
 // Three layers of evidence:
-//  1. A property test interprets randomized schedule/cancel/batch/run
-//     programs (with nested scheduling and cancellation from inside
-//     callbacks) against both schedulers and demands the exact same
-//     execution trace — tags, firing times, clock trajectory. Failures
+//  1. A property test interprets randomized schedule/cancel/run programs
+//     (with nested scheduling and cancellation from inside callbacks)
+//     against both schedulers and demands the exact same execution trace —
+//     tags, firing times, clock and pending-count trajectories. Failures
 //     greedily delta-debug themselves down to a minimal reproducing program.
 //  2. Targeted regressions for the wheel's hard edges, run against both:
 //     same-tick FIFO across cascade levels, far-future times spanning every
@@ -43,14 +43,12 @@ struct Op {
   enum Kind : std::uint8_t {
     kScheduleAt,
     kScheduleIn,
-    kScheduleBatched,
     kCancel,
     kRunUntil,
     kRun,
   };
   Kind kind = kScheduleAt;
   SimTime t = 0;           // absolute time / delay / run_until bound
-  std::uint64_t key = 0;   // batch key
   std::size_t ref = 0;     // cancel: index into the ids issued so far
   std::uint32_t tag = 0;   // trace identity; also drives nested behavior
 };
@@ -59,7 +57,6 @@ const char* kind_name(Op::Kind k) {
   switch (k) {
     case Op::kScheduleAt: return "schedule_at";
     case Op::kScheduleIn: return "schedule_in";
-    case Op::kScheduleBatched: return "schedule_batched";
     case Op::kCancel: return "cancel";
     case Op::kRunUntil: return "run_until";
     case Op::kRun: return "run";
@@ -68,10 +65,19 @@ const char* kind_name(Op::Kind k) {
 }
 
 /// One trace entry per executed callback (tag + firing time); run/run_until
-/// ops append a sentinel entry carrying the post-run clock, pinning the
-/// run_until clock-advance rule as well.
+/// ops append a sentinel entry carrying the post-run clock and pending
+/// count, pinning the run_until clock-advance rule and cancel bookkeeping
+/// as well.
+struct Entry {
+  std::uint32_t tag = 0;
+  SimTime at = 0;
+  std::size_t pending = 0;  // run markers only
+
+  friend bool operator==(const Entry&, const Entry&) = default;
+};
+
 struct Trace {
-  std::vector<std::pair<std::uint32_t, SimTime>> entries;
+  std::vector<Entry> entries;
   std::uint64_t executed = 0;
   std::size_t final_pending = 0;
   SimTime final_now = 0;
@@ -102,7 +108,7 @@ Trace interpret(const std::vector<Op>& ops) {
   // SmallFn). Declared as a struct so it can recurse via schedule.
   struct Fire {
     static void run(Ctx* c, std::uint32_t tag) {
-      c->trace.entries.emplace_back(tag, c->loop.now());
+      c->trace.entries.push_back({tag, c->loop.now()});
       if ((tag & kNestedBit) == 0) {
         if (tag % 7 == 3) {
           const std::uint32_t nested = tag | kNestedBit;
@@ -131,22 +137,16 @@ Trace interpret(const std::vector<Op>& ops) {
             loop.schedule_in(op.t, [&ctx, tag] { Fire::run(&ctx, tag); }));
         break;
       }
-      case Op::kScheduleBatched: {
-        const std::uint32_t tag = op.tag;
-        ids.push_back(loop.schedule_batched(
-            op.t, op.key, [&ctx, tag] { Fire::run(&ctx, tag); }));
-        break;
-      }
       case Op::kCancel:
         if (!ids.empty()) loop.cancel(ids[op.ref % ids.size()]);
         break;
       case Op::kRunUntil:
         loop.run_until(op.t, 1'000'000);
-        trace.entries.emplace_back(kRunMarker, loop.now());
+        trace.entries.push_back({kRunMarker, loop.now(), loop.pending()});
         break;
       case Op::kRun:
         loop.run(1'000'000);
-        trace.entries.emplace_back(kRunMarker, loop.now());
+        trace.entries.push_back({kRunMarker, loop.now(), loop.pending()});
         break;
     }
   }
@@ -180,18 +180,14 @@ std::vector<Op> gen_program(std::uint64_t seed, std::size_t n_ops) {
     Op op;
     op.tag = static_cast<std::uint32_t>(i) & ~kNestedBit;
     const std::uint64_t pick = rng.uniform(100);
-    if (pick < 30) {
+    if (pick < 55) {
       op.kind = Op::kScheduleAt;
       op.t = gen_time(rng);
-    } else if (pick < 45) {
+    } else if (pick < 75) {
       op.kind = Op::kScheduleIn;
       // Includes schedule_in(0) and sentinel-huge delays that must saturate.
       op.t = rng.uniform(10) == 0 ? 0 : gen_time(rng);
       if (rng.uniform(50) == 0) op.t = INT64_MAX - 1;
-    } else if (pick < 75) {
-      op.kind = Op::kScheduleBatched;
-      op.t = gen_time(rng);
-      op.key = rng.uniform(4);
     } else if (pick < 85) {
       op.kind = Op::kCancel;  // may hit pending OR already-fired ids
       op.ref = rng.uniform(1u << 16);
@@ -242,8 +238,8 @@ std::vector<Op> shrink(std::vector<Op> ops) {
 std::string format_program(const std::vector<Op>& ops) {
   std::ostringstream out;
   for (const Op& op : ops) {
-    out << "  " << kind_name(op.kind) << " t=" << op.t << " key=" << op.key
-        << " ref=" << op.ref << " tag=" << op.tag << "\n";
+    out << "  " << kind_name(op.kind) << " t=" << op.t << " ref=" << op.ref
+        << " tag=" << op.tag << "\n";
   }
   return out.str();
 }
@@ -301,6 +297,22 @@ using Schedulers = ::testing::Types<EventLoop, ReferenceScheduler>;
 TYPED_TEST_SUITE(EventCore, Schedulers);
 
 TYPED_TEST(EventCore, SameTickFifoAcrossCascadeLevels) {
+  // A is scheduled from t=0 and lands on level 2; B, scheduled for the same
+  // tick from t=1000, lands on level 1. The cursor enters both slots in one
+  // advance (at 2^16), and the older A must still run first; cascading the
+  // entered slots one at a time would put B's group ahead of A's.
+  TypeParam loop;
+  constexpr SimTime target = 65546;
+  std::vector<char> order;
+  loop.schedule_at(target, [&order] { order.push_back('A'); });
+  loop.run_until(1000);
+  loop.schedule_at(target, [&order] { order.push_back('B'); });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B'}));
+  EXPECT_EQ(loop.now(), target);
+}
+
+TYPED_TEST(EventCore, SameTickFifoAcrossStaggeredSchedules) {
   // Ten events for one far-future tick, scheduled from progressively closer
   // times so they enter the wheel at DIFFERENT levels and only meet in the
   // level-0 slot after cascading. FIFO must still hold.
@@ -376,7 +388,7 @@ TYPED_TEST(EventCore, RunUntilNeverRunsPastBoundOverCancelledHead) {
   const auto head = loop.schedule_in(161, [] {});
   loop.cancel(head);
   bool far_ran = false;
-  loop.schedule_batched(SimTime{1} << 52, 2, [&] { far_ran = true; });
+  loop.schedule_at(SimTime{1} << 52, [&] { far_ran = true; });
   loop.run_until(61'333);
   EXPECT_FALSE(far_ran);
   EXPECT_EQ(loop.now(), 61'333);
@@ -385,15 +397,17 @@ TYPED_TEST(EventCore, RunUntilNeverRunsPastBoundOverCancelledHead) {
   EXPECT_TRUE(far_ran);
 }
 
-TEST(EventCoreWheel, CancelOfRecycledIdIsInert) {
+TYPED_TEST(EventCore, CancelOfRecycledIdIsInert) {
   // After an event fires, its id must never alias a later event — even
-  // though the wheel recycles the underlying node immediately.
-  EventLoop loop;
+  // though the wheel recycles the underlying node immediately — and
+  // cancelling it cancels nothing, so the new event still counts as pending.
+  TypeParam loop;
   const auto stale = loop.schedule_at(1, [] {});
   loop.run();
   bool ran = false;
   loop.schedule_at(2, [&] { ran = true; });  // likely reuses the node
   loop.cancel(stale);                        // must NOT cancel the new event
+  EXPECT_EQ(loop.pending(), 1u);
   loop.run();
   EXPECT_TRUE(ran);
   EXPECT_EQ(loop.executed(), 2u);

@@ -237,13 +237,14 @@ TEST(Tcp, RequestResponseExchange) {
   // the first two body bytes are the DNS ID the client pairs replies by.
   std::optional<sim::TcpConnInfo> seen_conn;
   server.tcp_listen(53, [&](const sim::TcpConnInfo& info,
-                            std::span<const std::uint8_t> req) {
+                            std::span<const std::uint8_t> req,
+                            sim::Host::TcpSessionReply reply) {
     seen_conn = info;
     // Echo the body with one more byte, re-framed.
     std::vector<std::uint8_t> resp{0, static_cast<std::uint8_t>(req[1] + 1)};
     resp.insert(resp.end(), req.begin() + 2, req.end());
     resp.push_back(0xFF);
-    return resp;
+    reply(std::move(resp));
   });
 
   std::optional<std::vector<std::uint8_t>> reply;
@@ -289,10 +290,8 @@ TEST(Tcp, SpoofedSynCannotComplete) {
               {IpAddr::must_parse("22.0.0.1")}, Rng(1));
   int served = 0;
   server.tcp_listen(53, [&](const sim::TcpConnInfo&,
-                            std::span<const std::uint8_t>) {
-    ++served;
-    return std::vector<std::uint8_t>{};
-  });
+                            std::span<const std::uint8_t>,
+                            sim::Host::TcpSessionReply) { ++served; });
   // A spoofed SYN: the SYN-ACK goes to the claimed source (no host there),
   // so the handshake never finishes and the service never runs.
   Packet syn = net::make_tcp(IpAddr::must_parse("21.0.9.9"), 1234,
@@ -401,8 +400,11 @@ TEST(CaptureTap, DropsAppearOnlyWhenDropCaptureEnabled) {
 TEST(CaptureTap, PerHostFilterSelectsOneHostsTraffic) {
   CaptureFixture f;
   pcap::Capture capture;
+  const IpAddr host = IpAddr::must_parse("21.0.0.1");
   Network::CaptureOptions opts;
-  opts.host = IpAddr::must_parse("21.0.0.1");
+  opts.filter = [host](const Packet& pkt, DropReason, sim::Asn) {
+    return pkt.src == host || pkt.dst == host;
+  };
   f.network.attach_capture(capture, std::move(opts));
   f.send_batch(10);
   f.loop.run();

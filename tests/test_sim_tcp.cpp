@@ -211,8 +211,9 @@ void exchange_sized(std::size_t resp_size, std::vector<Seg>& segs,
   TcpFixture f;
   f.server->tcp_listen(
       53, [resp_size](const sim::TcpConnInfo&,
-                      std::span<const std::uint8_t> req) {
-        return framed_stream(resp_size, framed_id(req), 0x5A);
+                      std::span<const std::uint8_t> req,
+                      sim::Host::TcpSessionReply reply) {
+        reply(framed_stream(resp_size, framed_id(req), 0x5A));
       });
   pcap::Capture capture;
   f.network.attach_capture(capture);
@@ -255,9 +256,8 @@ TEST(TcpSegmentation, MultiSegmentStreamConcatenatesToFramedResponse) {
   const cd::GatherBuf resp = framed_stream(8002, kQueryId, 0x11);
   const std::vector<std::uint8_t> expected = resp.to_vector();
   f.server->tcp_listen(
-      53, [&resp](const sim::TcpConnInfo&, std::span<const std::uint8_t>) {
-        return resp;
-      });
+      53, [&resp](const sim::TcpConnInfo&, std::span<const std::uint8_t>,
+                  sim::Host::TcpSessionReply reply) { reply(resp); });
   pcap::Capture capture;
   f.network.attach_capture(capture);
   std::optional<std::vector<std::uint8_t>> r;
@@ -302,9 +302,9 @@ ExchangeOutcome run_exchange_with_timeout(sim::SimTime timeout,
                                           std::uint64_t budget = UINT64_MAX) {
   TcpFixture f(11);
   f.server->tcp_listen(
-      53, [](const sim::TcpConnInfo&, std::span<const std::uint8_t> req) {
-        return cd::GatherBuf(
-            std::vector<std::uint8_t>(req.begin(), req.end()));
+      53, [](const sim::TcpConnInfo&, std::span<const std::uint8_t> req,
+             sim::Host::TcpSessionReply reply) {
+        reply(std::vector<std::uint8_t>(req.begin(), req.end()));
       });
   ExchangeOutcome out;
   f.client->tcp_query(f.caddr, f.saddr, 53, query(),
@@ -404,8 +404,9 @@ TEST(TcpDial, NoFreeEphemeralPortThrows) {
   Host client(f.network, 1, one_port,
               std::vector<IpAddr>{IpAddr::must_parse("21.0.0.6")}, Rng(3));
   f.server->tcp_listen(
-      53, [](const sim::TcpConnInfo&, std::span<const std::uint8_t> req) {
-        return cd::GatherBuf(std::vector<std::uint8_t>(req.begin(), req.end()));
+      53, [](const sim::TcpConnInfo&, std::span<const std::uint8_t> req,
+             sim::Host::TcpSessionReply reply) {
+        reply(std::vector<std::uint8_t>(req.begin(), req.end()));
       });
   const IpAddr src = client.addresses().front();
   std::optional<std::vector<std::uint8_t>> first;
@@ -430,9 +431,8 @@ TEST(TcpSegmentation, SegmentedStreamReassemblesAcrossSeeds) {
         4002 + seed % 700, kQueryId, static_cast<std::uint8_t>(seed));
     const std::vector<std::uint8_t> expected = resp.to_vector();
     f.server->tcp_listen(
-        53, [&resp](const sim::TcpConnInfo&, std::span<const std::uint8_t>) {
-          return resp;
-        });
+        53, [&resp](const sim::TcpConnInfo&, std::span<const std::uint8_t>,
+                    sim::Host::TcpSessionReply reply) { reply(resp); });
     pcap::Capture capture;
     f.network.attach_capture(capture);
     std::optional<std::vector<std::uint8_t>> reply;

@@ -97,7 +97,7 @@ struct TransportFixture {
   /// Session listener echoing each framed message's body back as the
   /// response (so the reply carries the request's message ID).
   void serve_echo() {
-    server->tcp_listen_session(
+    server->tcp_listen(
         53, [](const sim::TcpConnInfo&, std::span<const std::uint8_t> msg,
                Host::TcpSessionReply reply) {
           ASSERT_GE(msg.size(), 2u);
@@ -164,7 +164,7 @@ TEST(TransportSession, PipelineWindowCapsInFlightAndMatchesOutOfOrder) {
   // order, so responses come back out of order and the client must match
   // them to handlers by message ID.
   std::vector<std::pair<std::uint16_t, Host::TcpSessionReply>> held;
-  f.server->tcp_listen_session(
+  f.server->tcp_listen(
       53, [&held](const sim::TcpConnInfo&, std::span<const std::uint8_t> msg,
                   Host::TcpSessionReply reply) {
         const std::uint16_t id =
@@ -317,7 +317,7 @@ TEST(TransportIdle, UnansweredReplyDefersThenForcesClose) {
   TransportOptions t = persistent_options();
   t.idle_timeout = 100 * sim::kMillisecond;
   TransportFixture f(t);
-  f.server->tcp_listen_session(
+  f.server->tcp_listen(
       53, [](const sim::TcpConnInfo&, std::span<const std::uint8_t>,
              Host::TcpSessionReply) { /* never replies */ });
 
@@ -422,10 +422,10 @@ TEST(TransportFallback, OneShotReplyIsPairedByMessageId) {
   // response carrying another ID is dropped and the query times out.
   TransportFixture f(TransportOptions{});
   f.server->tcp_listen(
-      53, [](const sim::TcpConnInfo&, std::span<const std::uint8_t> msg) {
-        return framed_msg(static_cast<std::uint16_t>(framed_id(
-                              {msg.begin(), msg.end()}) + 1))
-            .to_vector();
+      53, [](const sim::TcpConnInfo&, std::span<const std::uint8_t> msg,
+             sim::Host::TcpSessionReply reply) {
+        reply(framed_msg(static_cast<std::uint16_t>(
+            framed_id({msg.begin(), msg.end()}) + 1)));
       });
   std::optional<std::optional<std::vector<std::uint8_t>>> reply;
   f.client->tcp_query(f.caddr, f.saddr, 53, framed_msg(0x6001),

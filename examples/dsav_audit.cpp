@@ -93,12 +93,15 @@ int main() {
                        : std::vector<net::Prefix>{
                              net::Prefix::must_parse("20.10.0.0/16")};
     }
+    // The resolver's seed is drawn before its port allocator's.
+    const std::uint64_t resolver_seed = ++fleet_seed;
+    const std::uint64_t allocator_seed = ++fleet_seed;
     resolvers.push_back(std::make_unique<resolver::RecursiveResolver>(
         host, config, hints,
         resolver::make_default_allocator(
             resolver::DnsSoftware::kBind9913To9160, host.os(),
-            Rng(++fleet_seed)),
-        Rng(++fleet_seed)));
+            Rng(allocator_seed)),
+        Rng(resolver_seed)));
   }
 
   // --- the audit --------------------------------------------------------------

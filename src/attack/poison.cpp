@@ -135,7 +135,7 @@ IpAddr SpoofInjector::neighbor_of(const IpAddr& v) {
 void SpoofInjector::add_victim(const VictimSpec& spec) {
   if (victims_.count(spec.addr)) return;
 
-  auto [it, inserted] = victims_.emplace(spec.addr, VictimState{});
+  auto [it, inserted] = victims_.emplace(spec.addr, VictimState());
   VictimState& state = it->second;
   state.spec = spec;
   state.rng = cd::Rng::substream(seed_, cd::net::IpAddrHash{}(spec.addr));

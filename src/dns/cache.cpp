@@ -15,22 +15,24 @@ Cache::Cache(CacheConfig config) : config_(config) {}
 
 CacheResult Cache::lookup(const DnsName& name, RrType type,
                           CacheTime now) const {
+  return lookup(SuffixHashes(name), name.label_count(), type, now);
+}
+
+CacheResult Cache::lookup(const SuffixHashes& name, std::size_t n,
+                          RrType type, CacheTime now) const {
   CacheResult result;
 
   // RFC 8020: an unexpired NXDOMAIN at the name or any ancestor proves the
   // name does not exist.
-  DnsName walk = name;
-  for (;;) {
-    const auto it = nxdomain_.find(walk);
+  for (std::size_t m = n + 1; m-- > 0;) {
+    const auto it = nxdomain_.find(KeyRef{&name, m, RrType::kAny});
     if (it != nxdomain_.end() && it->second.expires > now) {
       result.kind = CacheHitKind::kNegativeName;
       return result;
     }
-    if (walk.is_root()) break;
-    walk = walk.parent();
   }
 
-  const Key key{name, type};
+  const KeyRef key{&name, n, type};
   const auto pit = positive_.find(key);
   if (pit != positive_.end() && pit->second.expires > now) {
     result.kind = CacheHitKind::kPositive;
@@ -67,7 +69,7 @@ void Cache::insert_positive(const std::vector<DnsRr>& rrset, CacheTime now) {
 void Cache::insert_nxdomain(const DnsName& name, std::uint32_t ttl,
                             CacheTime now) {
   ttl = std::min(ttl, config_.max_ttl);
-  nxdomain_[name] =
+  nxdomain_[Key{name, RrType::kAny}] =
       NegativeEntry{now + static_cast<CacheTime>(ttl) * kMicrosPerSecond};
 }
 

@@ -210,9 +210,9 @@ void RecursiveResolver::resolve_internal(const DnsName& qname, RrType qtype,
 void RecursiveResolver::seed_servers_from_cache(const TaskPtr& task) {
   const cd::sim::SimTime now = host_.network().loop().now();
   // Deepest ancestor with a cached NS set whose addresses we also know.
+  const cd::dns::SuffixHashes ancestors(task->qname);
   for (std::size_t n = task->qname.label_count(); n > 0; --n) {
-    const DnsName zone = task->qname.suffix(n);
-    const auto ns_hit = cache_.lookup(zone, RrType::kNs, now);
+    const auto ns_hit = cache_.lookup(ancestors, n, RrType::kNs, now);
     if (ns_hit.kind != CacheHitKind::kPositive) continue;
     std::vector<IpAddr> servers;
     for (const DnsRr& rr : ns_hit.records) {

@@ -136,6 +136,7 @@ void Collector::observe(const cd::resolver::AuthLogEntry& entry) {
       rec.open_hit = true;
       break;
     case QueryMode::kCrossCheck:
+    case QueryMode::kPoison:
       break;  // unreachable: filtered out above
   }
 }

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "dns/name.h"
 #include "net/ip.h"
@@ -85,7 +86,7 @@ class QnameCodec {
   /// Hex-encodes an address for use as a label (exposed for tests).
   [[nodiscard]] static std::string encode_addr(const cd::net::IpAddr& addr);
   [[nodiscard]] static std::optional<cd::net::IpAddr> decode_addr(
-      const std::string& label);
+      std::string_view label);
 
  private:
   cd::dns::DnsName base_;

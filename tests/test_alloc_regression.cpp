@@ -4,7 +4,9 @@
 // pools (event nodes, wire buffers, per-tick delivery slots), a steady-state
 // send->deliver cycle must perform ZERO heap allocations — same-tick bursts
 // and jittered singleton arrivals alike — and so must a steady-state
-// schedule/run cycle on the bare loop.
+// schedule/run cycle on the bare loop. The DNS name layer holds the same
+// line: building a v4 probe name, stepping to its parent or a suffix, and
+// encoding a one-question query into a pooled buffer allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +15,9 @@
 #include <optional>
 #include <vector>
 
+#include "dns/message.h"
 #include "net/packet.h"
+#include "scanner/qname.h"
 #include "sim/event_loop.h"
 #include "sim/host.h"
 #include "sim/network.h"
@@ -150,6 +154,71 @@ TEST(AllocRegression, SmallFnStoresHotClosuresInline) {
   static_assert(!sim::SmallFn::fits_inline<Fat>());
   sim::SmallFn fat(Fat{});
   EXPECT_FALSE(fat.is_inline());
+}
+
+// --- DNS name layer ----------------------------------------------------------
+
+/// Heap allocations made by `fn` run `n` times, after one warmup run.
+template <typename Fn>
+std::uint64_t allocs_of(int n, Fn&& fn) {
+  fn();
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < n; ++i) fn();
+  return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+scanner::QnameInfo v4_probe(std::uint64_t i) {
+  scanner::QnameInfo info;
+  info.ts = 1'699'999'999'000 + static_cast<sim::SimTime>(i);
+  info.src = net::IpAddr::v4(0xC0A8000Au + static_cast<std::uint32_t>(i));
+  info.dst = net::IpAddr::v4(0xC6336414u);
+  info.asn = 4'200'000'000u;
+  info.mode = scanner::QueryMode::kPoison;  // the longest v4 template
+  return info;
+}
+
+TEST(AllocRegression, QnameEncodeOfV4ProbeIsZeroAlloc) {
+  const scanner::QnameCodec codec(dns::DnsName::must_parse("dns-lab.org"),
+                                  "x1");
+  std::uint64_t i = 0;
+  std::size_t total = 0;
+  const std::uint64_t allocs = allocs_of(1000, [&] {
+    total += codec.encode(v4_probe(i++)).wire_length();
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(total, 0u);
+}
+
+TEST(AllocRegression, NameParentAndSuffixAreZeroAlloc) {
+  const scanner::QnameCodec codec(dns::DnsName::must_parse("dns-lab.org"),
+                                  "x1");
+  const dns::DnsName name = codec.encode(v4_probe(7));
+  std::size_t labels = 0;
+  const std::uint64_t allocs = allocs_of(1000, [&] {
+    for (dns::DnsName walk = name; !walk.is_root(); walk = walk.parent()) {
+      labels += walk.label_count();
+    }
+    for (std::size_t n = 0; n <= name.label_count(); ++n) {
+      labels += name.suffix(n).label_count();
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(labels, 0u);
+}
+
+TEST(AllocRegression, PooledQueryEncodeIsZeroAlloc) {
+  const scanner::QnameCodec codec(dns::DnsName::must_parse("dns-lab.org"),
+                                  "x1");
+  const dns::DnsMessage query =
+      dns::make_query(0x1234, codec.encode(v4_probe(9)), dns::RrType::kA);
+  std::size_t bytes = 0;
+  const std::uint64_t allocs = allocs_of(1000, [&] {
+    std::vector<std::uint8_t> wire = dns::encode_pooled(query);
+    bytes += wire.size();
+    BufferPool::release(std::move(wire));
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(bytes, 0u);
 }
 
 }  // namespace

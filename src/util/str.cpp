@@ -76,13 +76,11 @@ std::optional<std::uint64_t> parse_hex_u64(std::string_view s) {
   return v;
 }
 
-std::string to_hex(std::uint64_t value, int width) {
+void to_hex(std::uint64_t value, std::span<char> out) {
   static const char* kDigits = "0123456789abcdef";
-  std::string out;
-  for (int i = width - 1; i >= 0; --i) {
-    out += kDigits[(value >> (4 * i)) & 0xF];
+  for (std::size_t i = out.size(); i-- > 0; value >>= 4) {
+    out[i] = kDigits[value & 0xF];
   }
-  return out;
 }
 
 std::string with_commas(std::uint64_t value) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,8 +29,9 @@ namespace cd {
 /// Parse hex (no 0x prefix); nullopt on invalid input or overflow.
 [[nodiscard]] std::optional<std::uint64_t> parse_hex_u64(std::string_view s);
 
-/// Format `value` as fixed-width zero-padded lowercase hex.
-[[nodiscard]] std::string to_hex(std::uint64_t value, int width);
+/// Writes the low 4 * out.size() bits of `value` into `out` as zero-padded
+/// lowercase hex, most significant digit first.
+void to_hex(std::uint64_t value, std::span<char> out);
 
 /// Human-friendly "12,345" formatting of a non-negative integer.
 [[nodiscard]] std::string with_commas(std::uint64_t value);

@@ -108,6 +108,34 @@ TEST(Cache, Rfc8020AncestorCoversDescendants) {
             CacheHitKind::kMiss);
 }
 
+TEST(Cache, SuffixProbesMatchBuiltAncestors) {
+  // lookup(SuffixHashes, n, ...) probes suffix n of a name in place; it must
+  // answer exactly as a lookup of the built suffix does, case folded.
+  Cache cache;
+  cache.insert_positive({dns::make_ns(DnsName::must_parse("dns-lab.org"),
+                                      DnsName::must_parse("ns.dns-lab.org"))},
+                        0);
+  cache.insert_nxdomain(DnsName::must_parse("x1.dns-lab.org"), 300, 0);
+  cache.insert_nodata(DnsName::must_parse("m0.x2.dns-lab.org"), RrType::kA, 300,
+                      0);
+  for (const char* text : {"999.aa.bb.1.m0.X1.dns-lab.org",
+                           "999.aa.bb.1.M0.x2.DNS-LAB.org", "dns-lab.org"}) {
+    const DnsName name = DnsName::must_parse(text);
+    const dns::SuffixHashes suffixes(name);
+    for (std::size_t n = 0; n <= name.label_count(); ++n) {
+      for (RrType t : {RrType::kA, RrType::kNs}) {
+        const auto probed = cache.lookup(suffixes, n, t, 10 * kSec);
+        const auto built = cache.lookup(name.suffix(n), t, 10 * kSec);
+        EXPECT_EQ(probed.kind, built.kind) << text << " n=" << n;
+        EXPECT_EQ(probed.records, built.records) << text << " n=" << n;
+      }
+    }
+  }
+  const DnsName q = DnsName::must_parse("a.b.DNS-lab.org");
+  EXPECT_EQ(cache.lookup(dns::SuffixHashes(q), 2, RrType::kNs, 0).kind,
+            CacheHitKind::kPositive);
+}
+
 TEST(Cache, NegativeTypeHit) {
   Cache cache;
   const auto name = DnsName::must_parse("a.org");

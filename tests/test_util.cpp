@@ -191,8 +191,12 @@ TEST(Str, ParseHexU64) {
 }
 
 TEST(Str, ToHexRoundTrip) {
-  EXPECT_EQ(to_hex(0xC0A80001u, 8), "c0a80001");
-  EXPECT_EQ(parse_hex_u64(to_hex(123456789, 16)), 123456789u);
+  std::string hex(8, '?');
+  to_hex(0xC0A80001u, hex);
+  EXPECT_EQ(hex, "c0a80001");
+  hex.assign(16, '?');
+  to_hex(123456789, hex);
+  EXPECT_EQ(parse_hex_u64(hex), 123456789u);
 }
 
 TEST(Str, WithCommas) {

@@ -92,7 +92,7 @@ void BM_EventLoopScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopScheduleRun);
 
-/// The timing wheel on a persistent loop (the pools reach steady state,
+/// The event core on a persistent loop (the pools reach steady state,
 /// unlike BM_EventLoopScheduleRun's cold loop-per-iteration): a jittered
 /// 4096-event schedule/run cycle, reporting events/s and allocs/event.
 void BM_EventLoopEngine(benchmark::State& state) {

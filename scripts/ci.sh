@@ -10,8 +10,8 @@
 # transport + campaign + crosscheck + poison + eventcore labels
 # (bit-flip/truncation fuzzing only proves "throws, never over-reads" when
 # the reads are instrumented, the TCP reassembly/segment/session paths
-# exercise the pooled-buffer recycling hardest, and the timing wheel's
-# intrusive node pool and cascade scratch are raw pointers), and
+# exercise the pooled-buffer recycling hardest, and the event loop's
+# intrusive node pool and heap entries are raw pointers), and
 # UndefinedBehaviorSanitizer over the same labels plus the full unit suite
 # (shift/overflow/alignment UB in the byte codecs), the golden-table pins
 # (label "golden"), the allocation regression (label "alloc": UBSan does
@@ -53,8 +53,8 @@ cmake --build "${PREFIX}-perfbench" -j
 
 echo "=== TSan build + parallel/tcp/transport/eventcore-label ctest ==="
 # The eventcore label covers the sharded golden-digest campaigns: each
-# worker thread drives its own timing wheel, so the node pools and slot
-# arrays must be provably unshared under TSan. The transport label runs
+# worker thread drives its own event loop, so the node pools and heaps
+# must be provably unshared under TSan. The transport label runs
 # its persistent-session campaigns through the same threaded runner.
 cmake -B "${PREFIX}-tsan" -S . -DCD_SANITIZE=thread >/dev/null
 cmake --build "${PREFIX}-tsan" -j --target test_core_parallel test_sim_tcp \
@@ -71,8 +71,9 @@ echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poiso
 # battery (second scanner plane) under the same instrumentation, and the
 # poison label the off-path attack plane (forged packets are exactly the
 # adversarial inputs the decoder paths must over-read-proof). The eventcore
-# label runs the wheel's reference-model property tests, whose randomized
-# cancel/cascade programs recycle pooled nodes under instrumentation. The
+# label runs the event loop's reference-model property tests, whose
+# randomized schedule/cancel programs recycle pooled nodes and sift the
+# heap under instrumentation. The
 # name, cache and qname suites carry the fuzz label too: DnsName reads its
 # inline buffer a word at a time, and the name property programs drive
 # heap-spilled names, suffix probes and compression pointers through it.

@@ -12,7 +12,7 @@
 //    tcp_query() reuses one connection per (src, dst, port) and pipelines
 //    up to max_pipeline in-flight messages. Servers close idle sessions
 //    with a FIN after an idle window (RFC 7766 §6.1), driven
-//    deterministically through the timing wheel. With transport().dot set,
+//    deterministically through the event loop. With transport().dot set,
 //    each dial additionally pays a fixed hello handshake (real stream
 //    bytes, real RTTs) plus a setup delay before the first DNS byte.
 //

@@ -94,7 +94,7 @@ struct TransportOptions {
   int max_pipeline = 8;
   /// Server-side idle window: a session connection with no activity and no
   /// pending responses for this long is closed with a FIN through the
-  /// timing wheel (RFC 7766 §6.1).
+  /// event loop (RFC 7766 §6.1).
   SimTime idle_timeout = 10 * kSecond;
   /// DoT-like sessions: each dial pays Host::kDotHandshakeRtts hello round
   /// trips (Host::kDotHelloBytes of real stream bytes per flight, per

@@ -9,7 +9,7 @@ using SimTime = std::int64_t;  // microseconds
 
 /// Largest schedulable instant (~146k simulated years). EventLoop clamps
 /// schedule times here so sentinel-large delays saturate instead of wrapping
-/// negative, and so timing-wheel slot arithmetic can never overflow SimTime.
+/// negative, and so every queued time fits the high half of its heap key.
 constexpr SimTime kSimTimeMax = SimTime{1} << 62;
 
 constexpr SimTime kMicrosecond = 1;

@@ -3,7 +3,7 @@
 // cancellation. It has the same interface and the same observable
 // semantics as EventLoop — execution order, same-tick FIFO,
 // now()/executed()/pending() trajectories — in the most direct form, so
-// randomized programs can compare the timing wheel against it step by step
+// randomized programs can compare the event loop against it step by step
 // (tests/test_sim_event_core.cpp).
 #pragma once
 

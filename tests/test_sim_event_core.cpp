@@ -1,4 +1,4 @@
-// The event-core equivalence guarantee: the hierarchical timing wheel
+// The event-core equivalence guarantee: the (time, seq) heap
 // (sim::EventLoop) must be observably identical to the plain priority-queue
 // reference scheduler in tests/reference_scheduler.h.
 //
@@ -6,12 +6,14 @@
 //  1. A property test interprets randomized schedule/cancel/run programs
 //     (with nested scheduling and cancellation from inside callbacks)
 //     against both schedulers and demands the exact same execution trace —
-//     tags, firing times, clock and pending-count trajectories. Failures
-//     greedily delta-debug themselves down to a minimal reproducing program.
-//  2. Targeted regressions for the wheel's hard edges, run against both:
-//     same-tick FIFO across cascade levels, far-future times spanning every
-//     wheel level, schedule_in overflow saturation, cancel of already-fired
-//     ids.
+//     tags, firing times, clock and pending-count trajectories. One program
+//     shape is the campaign's: thousands of events queued before the first
+//     run. Failures greedily delta-debug themselves down to a minimal
+//     reproducing program.
+//  2. Targeted behaviour pins, run against both: same-tick FIFO across
+//     scheduling distances, far-future times near kSimTimeMax, schedule_in
+//     overflow saturation, cancel of a recycled id, run_until over a
+//     cancelled head.
 //  3. Whole campaigns: the quickstart battery must reproduce its golden
 //     results_digest and capture_digest (tests/campaign_goldens.h) across
 //     seeds x shard counts.
@@ -157,14 +159,14 @@ Trace interpret(const std::vector<Op>& ops) {
   return trace;
 }
 
-/// Times drawn across every wheel level — same-tick collisions, the level-0
-/// rotation, mid-range cascades, and far-future instants near kSimTimeMax.
+/// Times drawn across every magnitude — same-tick collisions, near and
+/// mid-range instants, and far-future instants near kSimTimeMax.
 SimTime gen_time(Rng& rng) {
   switch (rng.uniform(8)) {
     case 0: return static_cast<SimTime>(rng.uniform(4));        // dense ties
-    case 1: return static_cast<SimTime>(rng.uniform(256));      // level 0
-    case 2: return static_cast<SimTime>(rng.uniform(1 << 16));  // level 1
-    case 3: return static_cast<SimTime>(rng.uniform(1u << 24)); // level 2
+    case 1: return static_cast<SimTime>(rng.uniform(256));
+    case 2: return static_cast<SimTime>(rng.uniform(1 << 16));
+    case 3: return static_cast<SimTime>(rng.uniform(1u << 24));
     case 4: return static_cast<SimTime>(rng.uniform(1ull << 40));
     case 5: return static_cast<SimTime>(rng.uniform(1ull << 56));
     case 6: return sim::kSimTimeMax - static_cast<SimTime>(rng.uniform(512));
@@ -196,6 +198,46 @@ std::vector<Op> gen_program(std::uint64_t seed, std::size_t n_ops) {
       op.t = gen_time(rng);
     } else {
       op.kind = Op::kRun;
+    }
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+/// The campaign's shape: start events for thousands of targets queued
+/// before anything runs, spread over a 2 h window with tied instants; then
+/// run_until windows interleaved with follow-ups seconds out and cancels.
+/// The large queue drives the heap's deep sift paths.
+std::vector<Op> gen_campaign_program(std::uint64_t seed) {
+  constexpr std::size_t kStarts = 6000;
+  constexpr std::size_t kOps = 9000;
+  constexpr SimTime kWindow = 2 * sim::kHour;
+  Rng rng(seed);
+  std::vector<Op> ops;
+  ops.reserve(kOps);
+  SimTime bound = 0;
+  for (std::size_t i = 0; i < kOps; ++i) {
+    Op op;
+    op.tag = static_cast<std::uint32_t>(i) & ~kNestedBit;
+    const std::uint64_t pick = rng.uniform(10);
+    if (i < kStarts) {
+      op.kind = Op::kScheduleAt;
+      op.t = pick == 0
+                 ? static_cast<SimTime>(rng.uniform(64)) * sim::kSecond
+                 : static_cast<SimTime>(
+                       rng.uniform(static_cast<std::uint64_t>(kWindow)));
+    } else if (pick < 5) {
+      op.kind = Op::kScheduleIn;
+      op.t = static_cast<SimTime>(rng.uniform(4)) * 10 * sim::kSecond +
+             static_cast<SimTime>(rng.uniform(2)) *
+                 static_cast<SimTime>(rng.uniform(100'000));
+    } else if (pick < 7) {
+      op.kind = Op::kCancel;
+      op.ref = rng.uniform(1u << 16);
+    } else {
+      op.kind = Op::kRunUntil;
+      bound += static_cast<SimTime>(rng.uniform(4 * sim::kSecond));
+      op.t = bound;
     }
     ops.push_back(op);
   }
@@ -244,23 +286,35 @@ std::string format_program(const std::vector<Op>& ops) {
   return out.str();
 }
 
+/// Passes when `ops` runs identically on both schedulers; otherwise fails
+/// with the shrunk program.
+::testing::AssertionResult matches_reference(std::vector<Op> ops,
+                                             std::uint64_t seed) {
+  if (!diverges(ops)) return ::testing::AssertionSuccess();
+  const std::vector<Op> minimal = shrink(std::move(ops));
+  return ::testing::AssertionFailure()
+         << "event loop diverges from reference; seed=" << seed
+         << "; minimal program (" << minimal.size() << " ops):\n"
+         << format_program(minimal);
+}
+
 TEST(EventCoreProperty, RandomProgramsMatchReferenceExactly) {
   // ~6 x 2500 ops x ~75% schedule ops (plus nested schedules) comfortably
   // exceeds 10k differentially-checked events.
   for (const std::uint64_t seed : {1ull, 7ull, 42ull, 99ull, 1337ull, 2020ull}) {
-    std::vector<Op> ops = gen_program(seed, 2500);
-    if (diverges(ops)) {
-      const std::vector<Op> minimal = shrink(std::move(ops));
-      FAIL() << "wheel diverges from reference; seed=" << seed
-             << "; minimal program (" << minimal.size() << " ops):\n"
-             << format_program(minimal);
-    }
+    EXPECT_TRUE(matches_reference(gen_program(seed, 2500), seed));
+  }
+}
+
+TEST(EventCoreProperty, CampaignShapedProgramsMatchReferenceExactly) {
+  for (const std::uint64_t seed : {2ull, 8ull, 31ull}) {
+    EXPECT_TRUE(matches_reference(gen_campaign_program(seed), seed));
   }
 }
 
 TEST(EventCoreProperty, CancelHeavyProgramsMatchReferenceExactly) {
   // A second distribution: mostly cancels and run_until, catching clock
-  // advancement through cancelled-only stretches of the wheel.
+  // advancement through cancelled-only stretches of the queue.
   for (const std::uint64_t seed : {3ull, 5ull, 11ull}) {
     Rng rng(seed);
     std::vector<Op> ops;
@@ -280,27 +334,20 @@ TEST(EventCoreProperty, CancelHeavyProgramsMatchReferenceExactly) {
       }
       ops.push_back(op);
     }
-    if (diverges(ops)) {
-      const std::vector<Op> minimal = shrink(std::move(ops));
-      FAIL() << "wheel diverges from reference; seed=" << seed
-             << "; minimal program (" << minimal.size() << " ops):\n"
-             << format_program(minimal);
-    }
+    EXPECT_TRUE(matches_reference(std::move(ops), seed));
   }
 }
 
-// --- targeted wheel edges -----------------------------------------------------
+// --- targeted behaviour pins ---------------------------------------------------
 
 template <typename Loop>
 class EventCore : public ::testing::Test {};
 using Schedulers = ::testing::Types<EventLoop, ReferenceScheduler>;
 TYPED_TEST_SUITE(EventCore, Schedulers);
 
-TYPED_TEST(EventCore, SameTickFifoAcrossCascadeLevels) {
-  // A is scheduled from t=0 and lands on level 2; B, scheduled for the same
-  // tick from t=1000, lands on level 1. The cursor enters both slots in one
-  // advance (at 2^16), and the older A must still run first; cascading the
-  // entered slots one at a time would put B's group ahead of A's.
+TYPED_TEST(EventCore, SameTickFifoAcrossSchedulingDistances) {
+  // A is scheduled 65546 ticks ahead, B for the same tick from t=1000, so
+  // from a shorter distance. The older A must still run first.
   TypeParam loop;
   constexpr SimTime target = 65546;
   std::vector<char> order;
@@ -314,8 +361,7 @@ TYPED_TEST(EventCore, SameTickFifoAcrossCascadeLevels) {
 
 TYPED_TEST(EventCore, SameTickFifoAcrossStaggeredSchedules) {
   // Ten events for one far-future tick, scheduled from progressively closer
-  // times so they enter the wheel at DIFFERENT levels and only meet in the
-  // level-0 slot after cascading. FIFO must still hold.
+  // times, 2^36 ticks apart. FIFO must still hold.
   TypeParam loop;
   constexpr SimTime target = (SimTime{3} << 40) + 123;
   std::vector<int> order;
@@ -335,10 +381,10 @@ TYPED_TEST(EventCore, SameTickFifoAcrossStaggeredSchedules) {
   EXPECT_EQ(loop.now(), target);
 }
 
-TYPED_TEST(EventCore, FarFutureTimesSpanEveryLevel) {
+TYPED_TEST(EventCore, FarFutureTimesRunInOrder) {
   TypeParam loop;
   std::vector<SimTime> fired;
-  // One event per wheel level: delta = 2^(8k) + k.
+  // One event per byte of SimTime: delta = 2^(8k) + k.
   for (int k = 0; k < 8; ++k) {
     const SimTime at = (SimTime{1} << (8 * k)) + k;
     loop.schedule_at(at, [&fired, &loop] { fired.push_back(loop.now()); });
@@ -399,7 +445,7 @@ TYPED_TEST(EventCore, RunUntilNeverRunsPastBoundOverCancelledHead) {
 
 TYPED_TEST(EventCore, CancelOfRecycledIdIsInert) {
   // After an event fires, its id must never alias a later event — even
-  // though the wheel recycles the underlying node immediately — and
+  // though the event loop recycles the underlying node immediately — and
   // cancelling it cancels nothing, so the new event still counts as pending.
   TypeParam loop;
   const auto stale = loop.schedule_at(1, [] {});
@@ -419,7 +465,7 @@ TEST(EventCoreCampaign, DigestsMatchGoldensAcrossSeedsAndShards) {
   // The full 5-seed battery lives in test_sim_batched; this covers both
   // shard counts under the capture-everything config (and is the body TSan
   // re-runs via the eventcore label: every worker thread drives its own
-  // wheel).
+  // event loop).
   for (const std::uint64_t seed : {7ull, 42ull}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
       const golden::CampaignGolden& want = golden::full_fat(seed, shards);

@@ -1,5 +1,5 @@
-// Unit tests: discrete event loop — the semantic contract of the timing
-// wheel (time order, same-tick FIFO, cancellation).
+// Unit tests: discrete event loop — the semantic contract of the event core
+// (time order, same-tick FIFO, cancellation).
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -250,8 +250,13 @@ void DnsMessage::encode_into(cd::ByteWriter& w) const {
   w.u16(static_cast<std::uint16_t>(authorities.size()));
   w.u16(static_cast<std::uint16_t>(additionals.size()));
 
+  // A lone question is the message's only name and nothing precedes it that
+  // a pointer could reach, so it is written as is: the same bytes, without
+  // hashing its suffixes. Every probe and upstream query takes this path.
+  const bool one_name = questions.size() == 1 && answers.empty() &&
+                        authorities.empty() && additionals.empty();
   for (const DnsQuestion& q : questions) {
-    encode_name(q.qname, w, &comp);
+    encode_name(q.qname, w, one_name ? nullptr : &comp);
     w.u16(static_cast<std::uint16_t>(q.qtype));
     w.u16(1);  // class IN
   }

@@ -40,6 +40,20 @@ TEST(DnsMessage, QueryRoundTrip) {
                                  RrType::kAaaa);
   EXPECT_EQ(q.header.rd, true);
   EXPECT_EQ(round_trip(q), q);
+
+  // A one-question query (here a probe-shaped name with repeated labels)
+  // skips the compressor; its bytes must equal the compressing path's: the
+  // header, then the question written through a fresh NameCompressor.
+  const auto probe = dns::make_query(
+      7, DnsName::must_parse("1a2b.c0000201.c0000202.64500.m1.a.a.dns-lab.org"),
+      RrType::kA);
+  const std::vector<std::uint8_t> wire = probe.encode();
+  std::vector<std::uint8_t> want(wire.begin(), wire.begin() + 12);
+  dns::NameCompressor comp;
+  dns::encode_name(probe.qname(), want, &comp);
+  want.insert(want.end(), {0, 1, 0, 1});  // qtype A, class IN
+  EXPECT_EQ(wire, want);
+  EXPECT_EQ(round_trip(probe), probe);
 }
 
 // Parameterized over every rdata type we interpret.

@@ -76,13 +76,15 @@ echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poiso
 # heap under instrumentation. The
 # name, cache and qname suites carry the fuzz label too: DnsName reads its
 # inline buffer a word at a time, and the name property programs drive
-# heap-spilled names, suffix probes and compression pointers through it.
+# heap-spilled names, suffix probes and compression pointers through it. So
+# does the source-selection suite, whose property program drives the
+# selector's per-AS /24 tables over random topologies.
 cmake -B "${PREFIX}-asan" -S . -DCD_SANITIZE=address >/dev/null
 cmake --build "${PREFIX}-asan" -j --target \
   test_util_bytes test_dns_message test_util_pcap test_golden_pcap \
   test_sim_batched test_sim_tcp test_net_checksum test_campaign_stream \
   test_crosscheck test_attack_poisoning test_transport test_sim_event_core \
-  test_dns_name test_dns_cache test_scanner_qname
+  test_dns_name test_dns_cache test_scanner_qname test_scanner_sources
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir "${PREFIX}-asan" \
   -L "${ASAN_LABELS}" \

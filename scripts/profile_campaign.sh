@@ -7,13 +7,19 @@
 #
 # Usage: scripts/profile_campaign.sh [--workload=poison|transport] [--seed=N]
 #            [--worlds=N] [--shards=N] [--threads=N] [--top=N]
-#            [--match=REGEX]... [build-dir]
+#            [--match=REGEX]... [--callers=REGEX]... [build-dir]
 #   Worlds are seeded seed*8+i like perfbench/run.py (defaults: poison,
 #   seed 1, 8 worlds, 64 shards, 1 thread, top 25; build-dir build-prof).
 #   Each --match prints the summed self share of the functions whose
 #   demangled name matches REGEX (Python syntax), e.g. a layer:
 #   --match='EventLoop::', and the share of samples with any of them on
-#   the stack (inclusive).
+#   the stack (inclusive). Each --callers prints the most common chains of
+#   up to three frames, a matching function and its two nearest callers,
+#   counting each sample once at its innermost match, e.g.
+#   --callers='hash_suffixes' splits that function's samples by who asked.
+#   A leaf function that sets up no frame of its own is charged straight
+#   to its caller's caller: Prefix::contains called from
+#   is_special_purpose shows up as called from Network::ingress_drop.
 # The kernel delivers ITIMER_PROF about every 4 ms whatever interval is
 # asked for, so a campaign yields only a few hundred samples: sum over at
 # least 8 worlds before reading a share to a percent.
@@ -27,6 +33,7 @@ SHARDS=64
 THREADS=1
 TOP=25
 MATCHES=()
+CALLERS=()
 BUILD=build-prof
 for arg in "$@"; do
   case "$arg" in
@@ -37,6 +44,7 @@ for arg in "$@"; do
     --threads=*) THREADS="${arg#*=}" ;;
     --top=*) TOP="${arg#*=}" ;;
     --match=*) MATCHES+=("${arg#*=}") ;;
+    --callers=*) CALLERS+=("${arg#*=}") ;;
     --*) echo "profile_campaign: unknown flag $arg" >&2; exit 2 ;;
     *) BUILD="$arg" ;;
   esac
@@ -62,10 +70,12 @@ done
 rm -rf "${OUT}/spill"
 
 nm -C -n --defined-only "${BUILD}/campaign" > "${OUT}/symbols.txt"
-python3 - "${OUT}" "${TOP}" "${MATCHES[@]+"${MATCHES[@]}"}" <<'EOF'
+python3 - "${OUT}" "${TOP}" "${#MATCHES[@]}" \
+  "${MATCHES[@]+"${MATCHES[@]}"}" "${CALLERS[@]+"${CALLERS[@]}"}" <<'EOF'
 import bisect, collections, glob, os, re, sys
 
-out, top, patterns = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+out, top, n_match = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+patterns, callers = sys.argv[4:4 + n_match], sys.argv[4 + n_match:]
 addrs, names = [], []
 for line in open(os.path.join(out, "symbols.txt")):
     parts = line.rstrip("\n").split(" ", 2)
@@ -84,9 +94,9 @@ for path in glob.glob(os.path.join(out, "world-*.txt")):
         if not pcs:
             continue
         frames = [name_of(int(pc, 16)) for pc in pcs]
-        stacks.append(set(frames))
+        stacks.append(frames)
         self_n[frames[0]] += 1
-        incl_n.update(stacks[-1])
+        incl_n.update(set(frames))
 total = len(stacks)
 if total == 0:
     sys.exit("profile_campaign: no samples")
@@ -105,4 +115,15 @@ for pattern in patterns:
     k = sum(any(rx.search(f) for f in frames) for frames in stacks)
     print(f"\n/{pattern}/: self {pct(n)} ({n} samples), "
           f"inclusive {pct(k)} ({k} samples)")
+for pattern in callers:
+    rx = re.compile(pattern)
+    chains = collections.Counter()
+    for frames in stacks:
+        for i, f in enumerate(frames):
+            if rx.search(f):
+                chains[" <- ".join(g[:70] for g in frames[i:i + 3])] += 1
+                break
+    print(f"\n== callers of /{pattern}/: {sum(chains.values())} samples ==")
+    for chain, n in chains.most_common(top):
+        print(f"{pct(n)}  {chain}")
 EOF

@@ -183,11 +183,13 @@ void SpoofInjector::send_trigger(VictimState& state, int round) {
   const auto sport = static_cast<std::uint16_t>(
       1024 + state.rng.uniform(60000));
 
-  DnsMessage query = cd::dns::make_query(
-      static_cast<std::uint16_t>(state.rng.u64()),
-      state.names[static_cast<std::size_t>(round)], RrType::kA, /*rd=*/true);
+  const auto txid = static_cast<std::uint16_t>(state.rng.u64());
   network_.send(
-      cd::net::make_udp(src, sport, victim, 53, cd::dns::encode_pooled(query)),
+      cd::net::make_udp(
+          src, sport, victim, 53,
+          cd::dns::encode_query_pooled(
+              txid, {}, state.names[static_cast<std::size_t>(round)],
+              RrType::kA, /*rd=*/true)),
       attacker_asn_);
   ++triggers_;
   ++state.rec.triggers;

@@ -1,5 +1,8 @@
 #include "dns/message.h"
 
+#include <algorithm>
+#include <array>
+
 #include "util/error.h"
 
 namespace cd::dns {
@@ -126,6 +129,38 @@ Rdata decode_rdata(RrType type, cd::ByteReader& r, std::size_t rdlen) {
   }
 }
 
+constexpr std::size_t kHeaderSize = 12;
+
+/// The header's wire octets, for a message with the given section counts.
+std::array<std::uint8_t, kHeaderSize> header_bytes(const DnsHeader& header,
+                                                   std::uint16_t qd,
+                                                   std::uint16_t an,
+                                                   std::uint16_t ns,
+                                                   std::uint16_t ar) {
+  std::uint16_t flags = 0;
+  if (header.qr) flags |= 0x8000;
+  flags |= static_cast<std::uint16_t>(header.opcode) << 11;
+  if (header.aa) flags |= 0x0400;
+  if (header.tc) flags |= 0x0200;
+  if (header.rd) flags |= 0x0100;
+  if (header.ra) flags |= 0x0080;
+  flags |= static_cast<std::uint16_t>(header.rcode);
+  std::array<std::uint8_t, kHeaderSize> out;
+  std::size_t at = 0;
+  for (const std::uint16_t v : {header.id, flags, qd, an, ns, ar}) {
+    out[at++] = static_cast<std::uint8_t>(v >> 8);
+    out[at++] = static_cast<std::uint8_t>(v);
+  }
+  return out;
+}
+
+/// A question's type and class (IN) octets, which follow its name.
+std::array<std::uint8_t, 4> question_tail(RrType qtype) {
+  const auto type = static_cast<std::uint16_t>(qtype);
+  return {static_cast<std::uint8_t>(type >> 8), static_cast<std::uint8_t>(type),
+          0, 1};
+}
+
 void encode_rr(const DnsRr& rr, cd::ByteWriter& w, NameCompressor* comp) {
   encode_name(rr.name, w, comp);
   w.u16(static_cast<std::uint16_t>(rr.type));
@@ -234,31 +269,19 @@ DnsRr make_cname(const DnsName& name, const DnsName& target,
 
 void DnsMessage::encode_into(cd::ByteWriter& w) const {
   NameCompressor comp;
-
-  w.u16(header.id);
-  std::uint16_t flags = 0;
-  if (header.qr) flags |= 0x8000;
-  flags |= static_cast<std::uint16_t>(header.opcode) << 11;
-  if (header.aa) flags |= 0x0400;
-  if (header.tc) flags |= 0x0200;
-  if (header.rd) flags |= 0x0100;
-  if (header.ra) flags |= 0x0080;
-  flags |= static_cast<std::uint16_t>(header.rcode);
-  w.u16(flags);
-  w.u16(static_cast<std::uint16_t>(questions.size()));
-  w.u16(static_cast<std::uint16_t>(answers.size()));
-  w.u16(static_cast<std::uint16_t>(authorities.size()));
-  w.u16(static_cast<std::uint16_t>(additionals.size()));
+  w.bytes(header_bytes(header, static_cast<std::uint16_t>(questions.size()),
+                       static_cast<std::uint16_t>(answers.size()),
+                       static_cast<std::uint16_t>(authorities.size()),
+                       static_cast<std::uint16_t>(additionals.size())));
 
   // A lone question is the message's only name and nothing precedes it that
   // a pointer could reach, so it is written as is: the same bytes, without
-  // hashing its suffixes. Every probe and upstream query takes this path.
+  // hashing its suffixes (encode_query_pooled relies on this).
   const bool one_name = questions.size() == 1 && answers.empty() &&
                         authorities.empty() && additionals.empty();
   for (const DnsQuestion& q : questions) {
     encode_name(q.qname, w, one_name ? nullptr : &comp);
-    w.u16(static_cast<std::uint16_t>(q.qtype));
-    w.u16(1);  // class IN
+    w.bytes(question_tail(q.qtype));
   }
   for (const DnsRr& rr : answers) encode_rr(rr, w, &comp);
   for (const DnsRr& rr : authorities) encode_rr(rr, w, &comp);
@@ -276,6 +299,25 @@ std::vector<std::uint8_t> encode_pooled(const DnsMessage& m) {
   std::vector<std::uint8_t> out = cd::BufferPool::acquire();
   cd::ByteWriter w(out);
   m.encode_into(w);
+  return out;
+}
+
+std::vector<std::uint8_t> encode_query_pooled(
+    std::uint16_t id, std::span<const std::string_view> labels,
+    const DnsName& suffix, RrType qtype, bool rd) {
+  DnsHeader header;
+  header.id = id;
+  header.rd = rd;
+  std::array<std::uint8_t, kHeaderSize + DnsName::kMaxWire + 4> buf;
+  std::ranges::copy(header_bytes(header, 1, 0, 0, 0), buf.begin());
+  std::size_t len =
+      kHeaderSize + write_name(labels, suffix,
+                               std::span(buf).subspan<kHeaderSize,
+                                                      DnsName::kMaxWire>());
+  std::ranges::copy(question_tail(qtype), buf.begin() + len);
+  len += 4;
+  std::vector<std::uint8_t> out = cd::BufferPool::acquire();
+  out.assign(buf.begin(), buf.begin() + len);
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -160,6 +161,15 @@ struct DnsMessage {
 /// repeated encodes on one thread reuse capacity. Hand the result to a packet
 /// payload (or release it back to the pool) instead of copying it.
 [[nodiscard]] std::vector<std::uint8_t> encode_pooled(const DnsMessage& m);
+
+/// The bytes of `make_query(id, suffix.prepend(labels), qtype, rd).encode()`
+/// in a pooled buffer, written straight from the labels: no DnsName, no
+/// DnsMessage. Throws what prepend() throws. Scanner probes, resolver
+/// upstream queries and poison triggers are all one-question queries sent
+/// once, so they are written this way.
+[[nodiscard]] std::vector<std::uint8_t> encode_query_pooled(
+    std::uint16_t id, std::span<const std::string_view> labels,
+    const DnsName& suffix, RrType qtype, bool rd);
 
 /// Builds a recursion-desired query with the given id.
 [[nodiscard]] DnsMessage make_query(std::uint16_t id, const DnsName& qname,

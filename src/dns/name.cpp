@@ -76,6 +76,24 @@ void hash_suffixes(const std::uint8_t* block, const std::uint8_t* offsets,
   }
 }
 
+/// Writes `labels` (leftmost first) into `out` as length-prefixed wire
+/// labels and returns the octets written. Throws unless every label is 1-63
+/// octets and the labels still fit in a name when followed by a
+/// `tail`-octet suffix.
+std::size_t write_labels(std::span<const std::string_view> labels,
+                         std::size_t tail, std::uint8_t* out) {
+  std::size_t len = 0;
+  for (const std::string_view l : labels) {
+    CD_ENSURE(!l.empty() && l.size() <= kMaxLabel, "bad DNS label");
+    CD_ENSURE(len + 1 + l.size() + tail <= DnsName::kMaxWire,
+              "DNS name too long");
+    out[len] = static_cast<std::uint8_t>(l.size());
+    std::memcpy(out + len + 1, l.data(), l.size());
+    len += 1 + l.size();
+  }
+  return len;
+}
+
 /// True if the (possibly compressed) name written at `pos` in `msg` folds
 /// equal to the uncompressed wire form `want`.
 bool spells(std::span<const std::uint8_t> msg, std::size_t pos,
@@ -227,17 +245,9 @@ DnsName DnsName::prepend(std::string_view label) const {
 
 DnsName DnsName::prepend(std::span<const std::string_view> labels) const {
   std::uint8_t wire[kMaxWire];
-  std::size_t len = 0;
-  for (const std::string_view l : labels) {
-    CD_ENSURE(!l.empty() && l.size() <= kMaxLabel, "bad DNS label");
-    CD_ENSURE(len + 1 + l.size() + size_ <= kMaxWire, "DNS name too long");
-    wire[len] = static_cast<std::uint8_t>(l.size());
-    std::memcpy(wire + len + 1, l.data(), l.size());
-    len += 1 + l.size();
-  }
-  std::memcpy(wire + len, data(), size_);
+  const std::size_t len = write_name(labels, *this, wire);
   DnsName out;
-  out.assign({wire, len + size_});
+  out.assign({wire, len});
   return out;
 }
 
@@ -340,6 +350,15 @@ void encode_name(const DnsName& name, cd::ByteWriter& w,
     }
   }
   w.bytes(wire);
+}
+
+std::size_t write_name(std::span<const std::string_view> labels,
+                       const DnsName& suffix,
+                       std::span<std::uint8_t, DnsName::kMaxWire> out) {
+  const auto tail = suffix.wire();
+  const std::size_t len = write_labels(labels, tail.size(), out.data());
+  std::memcpy(out.data() + len, tail.data(), tail.size());
+  return len + tail.size();
 }
 
 void encode_name(const DnsName& name, std::vector<std::uint8_t>& out,

@@ -163,6 +163,13 @@ class NameCompressor {
 /// DNS message.
 void encode_name(const DnsName& name, cd::ByteWriter& w, NameCompressor* comp);
 
+/// Writes the uncompressed wire form of `suffix.prepend(labels)` to the
+/// front of `out` and returns its length, without building that name: no
+/// DnsName, no suffix hashes. Throws what prepend() throws.
+[[nodiscard]] std::size_t write_name(
+    std::span<const std::string_view> labels, const DnsName& suffix,
+    std::span<std::uint8_t, DnsName::kMaxWire> out);
+
 /// Convenience shim over the ByteWriter form.
 void encode_name(const DnsName& name, std::vector<std::uint8_t>& out,
                  NameCompressor* comp);

@@ -15,9 +15,14 @@ using cd::net::Packet;
 
 cd::GatherBuf tcp_frame_pooled(const DnsMessage& message) {
   // The message encodes into a pooled buffer of its own (compression
-  // offsets stay message-relative), and the 2-byte prefix rides in the
-  // GatherBuf's inline header — no coalescing copy, ever.
-  cd::GatherBuf out(cd::dns::encode_pooled(message));
+  // offsets stay message-relative).
+  return tcp_frame_pooled(cd::dns::encode_pooled(message));
+}
+
+cd::GatherBuf tcp_frame_pooled(std::vector<std::uint8_t> wire) {
+  // The 2-byte prefix rides in the GatherBuf's inline header — no
+  // coalescing copy, ever.
+  cd::GatherBuf out(std::move(wire));
   CD_ENSURE(out.body.size() <= 0xFFFF, "tcp_frame: message too large");
   const std::array<std::uint8_t, 2> prefix{
       static_cast<std::uint8_t>(out.body.size() >> 8),

@@ -86,6 +86,9 @@ class AuthServer {
 /// serializes it straight from the span pair. This is the one framing
 /// implementation (the legacy copying `tcp_frame` was folded in).
 [[nodiscard]] cd::GatherBuf tcp_frame_pooled(const cd::dns::DnsMessage& message);
+/// The same framing around an already-encoded message (e.g. a pooled buffer
+/// from dns::encode_query_pooled).
+[[nodiscard]] cd::GatherBuf tcp_frame_pooled(std::vector<std::uint8_t> wire);
 
 /// Zero-copy view of the message behind the TCP length prefix; the returned
 /// span borrows `framed`. Throws cd::ParseError on bad framing.

@@ -302,10 +302,6 @@ void RecursiveResolver::send_current_query(const TaskPtr& task) {
     return;
   }
 
-  DnsMessage query = cd::dns::make_query(txid, task->current_qname,
-                                         task->current_qtype,
-                                         /*rd=*/task->forward_mode);
-
   bind_port(sport);
   PendingQuery pq;
   pq.task = task;
@@ -319,7 +315,10 @@ void RecursiveResolver::send_current_query(const TaskPtr& task) {
   pending_.emplace(key, std::move(pq));
 
   ++stats_.upstream_queries;
-  host_.send_udp(*src, sport, *server, 53, cd::dns::encode_pooled(query));
+  host_.send_udp(*src, sport, *server, 53,
+                 cd::dns::encode_query_pooled(txid, {}, task->current_qname,
+                                              task->current_qtype,
+                                              /*rd=*/task->forward_mode));
 }
 
 void RecursiveResolver::on_timeout(std::uint64_t key) {
@@ -391,12 +390,12 @@ void RecursiveResolver::retry_over_tcp(const TaskPtr& task,
     next_server(task);
     return;
   }
-  DnsMessage query =
-      cd::dns::make_query(static_cast<std::uint16_t>(rng_.u64()),
-                          task->current_qname, task->current_qtype,
-                          /*rd=*/task->forward_mode);
+  const auto txid = static_cast<std::uint16_t>(rng_.u64());
   host_.tcp_query(
-      *src, server, 53, tcp_frame_pooled(query),
+      *src, server, 53,
+      tcp_frame_pooled(cd::dns::encode_query_pooled(
+          txid, {}, task->current_qname, task->current_qtype,
+          /*rd=*/task->forward_mode)),
       [this, task, server](std::optional<std::vector<std::uint8_t>> reply) {
         if (task->finished) return;
         if (!reply) {

@@ -83,10 +83,10 @@ void AnalystSimulator::maybe_replay(const Packet& packet) {
       static_cast<std::uint16_t>(1024 + decision.uniform(64512));
   network_.loop().schedule_in(
       delay, [this, qname, workstation, asn, txid, sport] {
-        const cd::dns::DnsMessage q =
-            cd::dns::make_query(txid, qname, cd::dns::RrType::kA, /*rd=*/true);
-        Packet pkt = cd::net::make_udp(workstation, sport, public_resolver_,
-                                       53, cd::dns::encode_pooled(q));
+        Packet pkt = cd::net::make_udp(
+            workstation, sport, public_resolver_, 53,
+            cd::dns::encode_query_pooled(txid, {}, qname, cd::dns::RrType::kA,
+                                         /*rd=*/true));
         network_.send(std::move(pkt), asn);
       });
 }

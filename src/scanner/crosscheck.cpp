@@ -1,6 +1,5 @@
 #include "scanner/crosscheck.h"
 
-#include "dns/message.h"
 #include "net/packet.h"
 #include "util/error.h"
 
@@ -75,22 +74,13 @@ void CrossCheckProber::send_probe(const PrefixTarget& pt, std::uint32_t offset,
       offset == kResolverOffset ? kResolverOffset + 1 : kResolverOffset;
   const IpAddr src = pt.prefix.nth(src_offset);
 
-  QnameInfo info;
-  info.ts = vantage_.network().loop().now();
-  info.src = src;
-  info.dst = dst;
-  info.asn = pt.asn;
-  info.mode = QueryMode::kCrossCheck;
-
+  const QnameInfo info{vantage_.network().loop().now(), src, dst, pt.asn,
+                       QueryMode::kCrossCheck};
   const std::uint16_t sport =
       static_cast<std::uint16_t>(1024 + rng.uniform(64512));
-  const cd::dns::DnsMessage query =
-      cd::dns::make_query(static_cast<std::uint16_t>(rng.u64()),
-                         codec_.encode(info), cd::dns::RrType::kA,
-                         /*rd=*/true);
-
+  const auto id = static_cast<std::uint16_t>(rng.u64());
   Packet pkt =
-      cd::net::make_udp(src, sport, dst, 53, cd::dns::encode_pooled(query));
+      cd::net::make_udp(src, sport, dst, 53, codec_.encode_query(id, info));
   // Injected at the vantage's AS, like every spoofed probe: the forged
   // packet still physically leaves our network, and only the *target*
   // border's inbound filtering decides its fate.

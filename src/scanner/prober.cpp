@@ -1,6 +1,5 @@
 #include "scanner/prober.h"
 
-#include "dns/message.h"
 #include "net/packet.h"
 #include "resolver/auth.h"  // tcp_frame_pooled
 
@@ -23,6 +22,11 @@ std::uint64_t reply_hash(std::span<const std::uint8_t> bytes) {
     h *= 1099511628211ull;
   }
   return cd::mix64(h);
+}
+
+/// A query's source port: 1024-65535, drawn before its DNS id.
+std::uint16_t source_port(cd::Rng& rng) {
+  return static_cast<std::uint16_t>(1024 + rng.uniform(64512));
 }
 
 }  // namespace
@@ -50,21 +54,13 @@ cd::Rng& Prober::target_rng(const IpAddr& addr) {
 }
 
 void Prober::send_query(const IpAddr& src, std::uint16_t sport,
-                        const TargetInfo& target, QueryMode mode) {
-  QnameInfo info;
-  info.ts = vantage_.network().loop().now();
-  info.src = src;
-  info.dst = target.addr;
-  info.asn = target.asn;
-  info.mode = mode;
-
-  const cd::dns::DnsMessage query = cd::dns::make_query(
-      static_cast<std::uint16_t>(target_rng(target.addr).u64()),
-      codec_.encode(info), cd::dns::RrType::kA,
-      /*rd=*/true);
-
+                        const TargetInfo& target, QueryMode mode,
+                        cd::Rng& rng) {
+  const QnameInfo info{vantage_.network().loop().now(), src, target.addr,
+                       target.asn, mode};
+  const auto id = static_cast<std::uint16_t>(rng.u64());
   Packet pkt = cd::net::make_udp(src, sport, target.addr, 53,
-                                 cd::dns::encode_pooled(query));
+                                 codec_.encode_query(id, info));
   // Injected at the vantage's AS: a spoofed packet still physically leaves
   // our network, so our border's (absent) OSAV is what matters.
   vantage_.network().send(std::move(pkt), vantage_.asn());
@@ -73,41 +69,30 @@ void Prober::send_query(const IpAddr& src, std::uint16_t sport,
 
 void Prober::send_spoofed(const TargetInfo& target, const IpAddr& spoofed,
                           QueryMode mode) {
-  const std::uint16_t sport = static_cast<std::uint16_t>(
-      1024 + target_rng(target.addr).uniform(64512));
-  send_query(spoofed, sport, target, mode);
+  cd::Rng& rng = target_rng(target.addr);
+  send_query(spoofed, source_port(rng), target, mode, rng);
 }
 
 void Prober::send_open(const TargetInfo& target) {
   const auto src = vantage_.address(target.addr.family());
   if (!src) return;
-  const std::uint16_t sport = static_cast<std::uint16_t>(
-      1024 + target_rng(target.addr).uniform(64512));
-  send_query(*src, sport, target, QueryMode::kOpen);
+  cd::Rng& rng = target_rng(target.addr);
+  send_query(*src, source_port(rng), target, QueryMode::kOpen, rng);
 }
 
 void Prober::send_transport(const TargetInfo& target, QueryMode mode) {
   const auto src = vantage_.address(target.addr.family());
   if (!src) return;
 
-  QnameInfo info;
-  info.ts = vantage_.network().loop().now();
-  info.src = *src;
-  info.dst = target.addr;
-  info.asn = target.asn;
-  info.mode = mode;
-
-  const cd::dns::DnsMessage query = cd::dns::make_query(
-      static_cast<std::uint16_t>(target_rng(target.addr).u64()),
-      codec_.encode(info), cd::dns::RrType::kA,
-      /*rd=*/true);
-
+  const QnameInfo info{vantage_.network().loop().now(), *src, target.addr,
+                       target.asn, mode};
+  const auto id = static_cast<std::uint16_t>(target_rng(target.addr).u64());
   const IpAddr dst = target.addr;
   // A generous timeout keeps slow-but-completing recursions from straddling
   // the deadline: a reply either folds into the digest under every shard
   // layout or under none.
   vantage_.tcp_query(
-      *src, dst, 53, resolver::tcp_frame_pooled(query),
+      *src, dst, 53, resolver::tcp_frame_pooled(codec_.encode_query(id, info)),
       [this, dst](std::optional<std::vector<std::uint8_t>> reply) {
         if (reply && !reply->empty()) {
           transport_replies_[dst] += reply_hash(*reply);
@@ -130,17 +115,16 @@ void Prober::schedule_campaign(std::vector<TargetInfo> targets) {
     // start time a pure function of (seed, address) — a streamed shard world
     // that never sees the rest of the campaign list schedules its targets at
     // exactly the times the serial campaign would.
+    cd::Rng* rng = &target_rng(targets_[i].addr);
     const cd::sim::SimTime start =
-        kStartDelay +
-        static_cast<cd::sim::SimTime>(target_rng(targets_[i].addr)
-                                          .uniform(static_cast<std::uint64_t>(
-                                              config_.duration)));
-    loop.schedule_at(start, [this, i] { probe_step(i, 0, nullptr); });
+        kStartDelay + static_cast<cd::sim::SimTime>(rng->uniform(
+                          static_cast<std::uint64_t>(config_.duration)));
+    loop.schedule_at(start, [this, i, rng] { probe_step(i, 0, nullptr, rng); });
   }
 }
 
 void Prober::probe_step(std::size_t target_idx, std::size_t source_idx,
-                        SourceListPtr sources) {
+                        SourceListPtr sources, cd::Rng* rng) {
   const TargetInfo& target = targets_[target_idx];
   if (!sources) {
     // Computed once per target at its first step; carried through the chain
@@ -150,12 +134,14 @@ void Prober::probe_step(std::size_t target_idx, std::size_t source_idx,
   }
   if (source_idx >= sources->size()) return;
 
-  send_spoofed(target, (*sources)[source_idx].addr, QueryMode::kInitial);
+  send_query((*sources)[source_idx].addr, source_port(*rng), target,
+             QueryMode::kInitial, *rng);
 
   if (source_idx + 1 < sources->size()) {
     vantage_.network().loop().schedule_in(
-        config_.per_query_spacing, [this, target_idx, source_idx, sources] {
-          probe_step(target_idx, source_idx + 1, sources);
+        config_.per_query_spacing,
+        [this, target_idx, source_idx, sources, rng] {
+          probe_step(target_idx, source_idx + 1, sources, rng);
         });
   }
 }

@@ -95,10 +95,14 @@ class Prober {
 
  private:
   using SourceListPtr = std::shared_ptr<const std::vector<SpoofedSource>>;
+  /// One probe of a target's chain. `rng` is the target's substream, looked
+  /// up once when the chain is scheduled: map nodes never move, and no
+  /// entry is ever erased.
   void probe_step(std::size_t target_idx, std::size_t source_idx,
-                  SourceListPtr sources);
+                  SourceListPtr sources, cd::Rng* rng);
+  /// Draws the DNS id from `rng` (the target's substream), then sends.
   void send_query(const cd::net::IpAddr& src, std::uint16_t sport,
-                  const TargetInfo& target, QueryMode mode);
+                  const TargetInfo& target, QueryMode mode, cd::Rng& rng);
   /// The target's private random substream (created on first use).
   [[nodiscard]] cd::Rng& target_rng(const cd::net::IpAddr& addr);
 

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <span>
 
+#include "dns/message.h"
 #include "util/error.h"
 #include "util/str.h"
 
@@ -75,6 +76,37 @@ std::string_view addr_label(const IpAddr& addr, std::span<char, 32> buf) {
   return {buf.data(), 32};
 }
 
+/// The labels a probe name puts in front of the base, leftmost first,
+/// formatted into this object's own buffers (so it is neither copied nor
+/// moved).
+class ProbeLabels {
+ public:
+  ProbeLabels(const QnameInfo& info, std::string_view kw)
+      // Every QueryMode is a single decimal digit.
+      : mode_{'m', static_cast<char>('0' + static_cast<int>(info.mode))},
+        labels_{decimal_label(info.ts, ts_),
+                addr_label(info.src, src_),
+                addr_label(info.dst, dst_),
+                decimal_label(info.asn, asn_),
+                {mode_.data(), mode_.size()},
+                kw,
+                subzone_tag(info.mode)},
+        count_(labels_[6].empty() ? 6 : 7) {}
+  ProbeLabels(const ProbeLabels&) = delete;
+  ProbeLabels& operator=(const ProbeLabels&) = delete;
+
+  [[nodiscard]] std::span<const std::string_view> labels() const {
+    return std::span(labels_).first(count_);
+  }
+
+ private:
+  std::array<char, 24> ts_, asn_;
+  std::array<char, 32> src_, dst_;
+  std::array<char, 2> mode_;
+  std::array<std::string_view, 7> labels_;
+  std::size_t count_;
+};
+
 }  // namespace
 
 QnameCodec::QnameCodec(DnsName base, std::string kw)
@@ -110,21 +142,13 @@ std::optional<IpAddr> QnameCodec::decode_addr(std::string_view label) {
 }
 
 DnsName QnameCodec::encode(const QnameInfo& info) const {
-  std::array<char, 24> ts, asn;
-  std::array<char, 32> src, dst;
-  // Every QueryMode is a single decimal digit.
-  const std::array<char, 2> mode = {
-      'm', static_cast<char>('0' + static_cast<int>(info.mode))};
-  const std::string_view tag = subzone_tag(info.mode);
-  const std::array<std::string_view, 7> labels = {
-      decimal_label(info.ts, ts),
-      addr_label(info.src, src),
-      addr_label(info.dst, dst),
-      decimal_label(info.asn, asn),
-      {mode.data(), mode.size()},
-      kw_,
-      tag};
-  return base_.prepend(std::span(labels).first(tag.empty() ? 6 : 7));
+  return base_.prepend(ProbeLabels(info, kw_).labels());
+}
+
+std::vector<std::uint8_t> QnameCodec::encode_query(
+    std::uint16_t id, const QnameInfo& info) const {
+  return cd::dns::encode_query_pooled(id, ProbeLabels(info, kw_).labels(),
+                                      base_, cd::dns::RrType::kA, /*rd=*/true);
 }
 
 QnameCodec::Decoded QnameCodec::decode(const DnsName& qname) const {

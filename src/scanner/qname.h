@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "dns/name.h"
 #include "net/ip.h"
@@ -66,6 +67,12 @@ class QnameCodec {
   [[nodiscard]] cd::dns::DnsName zone_apex(QueryMode mode) const;
 
   [[nodiscard]] cd::dns::DnsName encode(const QnameInfo& info) const;
+
+  /// The wire bytes of `make_query(id, encode(info), A, rd=true)`, written
+  /// into a pooled buffer without building the name (dns::encode_query_pooled).
+  /// Throws what encode(info) throws.
+  [[nodiscard]] std::vector<std::uint8_t> encode_query(
+      std::uint16_t id, const QnameInfo& info) const;
 
   /// What decode() could recover. Fields appear right-to-left as labels are
   /// present; `full()` means the whole template parsed (src attribution is

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/ip.h"
@@ -50,25 +49,37 @@ class SourceSelector {
 
   /// Spoofed sources for one target, in probe order. `asn` must be the
   /// target's origin AS. Deterministic given the constructor seed and
-  /// arguments.
+  /// arguments. An AS's v4 announcements are read once, on its first
+  /// target, so the topology must not change after that.
   [[nodiscard]] std::vector<SpoofedSource> sources_for(
       const cd::net::IpAddr& target, cd::sim::Asn asn);
 
  private:
-  [[nodiscard]] std::vector<cd::net::IpAddr> other_prefix_v4(
-      const cd::net::IpAddr& target, cd::sim::Asn asn, cd::Rng& rng);
-  [[nodiscard]] std::vector<cd::net::IpAddr> other_prefix_v6(
-      const cd::net::IpAddr& target, cd::sim::Asn asn, cd::Rng& rng);
-  [[nodiscard]] cd::net::IpAddr pick_v4_host(const cd::net::Prefix& p24,
-                                             cd::Rng& rng) const;
-  [[nodiscard]] cd::net::IpAddr pick_v6_host(const cd::net::Prefix& p64,
-                                             cd::Rng& rng) const;
+  /// An AS's v4 announcements counted in /24s (a /24 is an address >> 8),
+  /// built on its first target. Announcement i covers the /24s
+  /// first24[i] .. first24[i] + (ends[i] - ends[i-1]) - 1; one longer than
+  /// /24 counts as its own /24. A small AS (ends.back() <= 4 x the cap)
+  /// also keeps `pool`: its distinct /24s, in announcement and then address
+  /// order.
+  struct V4Table {
+    std::vector<std::uint64_t> ends;  // running /24 count through each
+    std::vector<std::uint32_t> first24;
+    std::vector<std::uint32_t> pool;
+  };
+
+  [[nodiscard]] const V4Table& v4_table(cd::sim::Asn asn);
+  void other_prefix_v4(const cd::net::IpAddr& target, cd::sim::Asn asn,
+                       cd::Rng& rng, std::vector<SpoofedSource>& out);
+  void other_prefix_v6(const cd::net::IpAddr& target, cd::sim::Asn asn,
+                       cd::Rng& rng, std::vector<SpoofedSource>& out);
 
   const cd::sim::Topology& topology_;
   SourceSelectConfig config_;
   std::uint64_t seed_;  // per-target generators derive from this, stateless
   // hitlist /64 bases grouped by ASN for fast preference lookup
   std::unordered_map<cd::sim::Asn, std::vector<cd::net::Prefix>> hitlist_by_asn_;
+  std::unordered_map<cd::sim::Asn, V4Table> v4_tables_;
+  std::vector<std::uint32_t> candidates_;  // one target's other /24s
 };
 
 }  // namespace cd::scanner

@@ -122,11 +122,13 @@ DropReason Network::ingress_drop(Asn dest_asn, const Packet& packet) const {
   if (dest->policy.drop_inbound_same_subnet &&
       packet.src.family() == packet.dst.family()) {
     // Strict uRPF at the last hop: a subnet-local source (including the
-    // destination itself) cannot legitimately arrive from outside.
-    const int len = packet.dst.is_v4() ? 24 : 64;
-    if (cd::net::Prefix(packet.dst, len).contains(packet.src)) {
-      return DropReason::kUrpfSubnet;
-    }
+    // destination itself) cannot legitimately arrive from outside. The
+    // subnet is the destination's /24 (v4) or /64 (v6).
+    const bool same_subnet =
+        packet.dst.is_v4()
+            ? (packet.dst.v4_bits() ^ packet.src.v4_bits()) >> 8 == 0
+            : packet.dst.bits().hi == packet.src.bits().hi;
+    if (same_subnet) return DropReason::kUrpfSubnet;
   }
   return DropReason::kNone;
 }

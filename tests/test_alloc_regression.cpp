@@ -5,8 +5,9 @@
 // send->deliver cycle must perform ZERO heap allocations — same-tick bursts
 // and jittered singleton arrivals alike — and so must a steady-state
 // schedule/run cycle on the bare loop. The DNS name layer holds the same
-// line: building a v4 probe name, stepping to its parent or a suffix, and
-// encoding a one-question query into a pooled buffer allocate nothing.
+// line: building a v4 probe name, stepping to its parent or a suffix,
+// encoding a one-question query into a pooled buffer, and writing a probe
+// query straight from its fields allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -214,6 +215,22 @@ TEST(AllocRegression, PooledQueryEncodeIsZeroAlloc) {
   std::size_t bytes = 0;
   const std::uint64_t allocs = allocs_of(1000, [&] {
     std::vector<std::uint8_t> wire = dns::encode_pooled(query);
+    bytes += wire.size();
+    BufferPool::release(std::move(wire));
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(bytes, 0u);
+}
+
+TEST(AllocRegression, ProbeQueryEncodeIsZeroAlloc) {
+  const scanner::QnameCodec codec(dns::DnsName::must_parse("dns-lab.org"),
+                                  "x1");
+  std::uint64_t i = 0;
+  std::size_t bytes = 0;
+  const std::uint64_t allocs = allocs_of(1000, [&] {
+    std::vector<std::uint8_t> wire =
+        codec.encode_query(static_cast<std::uint16_t>(i), v4_probe(i));
+    ++i;
     bytes += wire.size();
     BufferPool::release(std::move(wire));
   });

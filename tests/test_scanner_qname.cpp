@@ -1,7 +1,13 @@
 // Unit + property tests: experiment query-name codec.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "dns/message.h"
 #include "scanner/qname.h"
+#include "util/bytes.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -158,6 +164,77 @@ TEST(QnameCodec, KeywordGuards) {
 TEST(QnameCodec, CaseInsensitiveKeyword) {
   const QnameCodec c(DnsName::must_parse("dns-lab.org"), "X1");
   EXPECT_TRUE(c.decode(DnsName::must_parse("x1.DNS-LAB.org")).in_experiment);
+}
+
+// The probe query writer against the message codec it stands in for: for
+// every field extreme, family and mode, encode_query(id, info) must be the
+// bytes of make_query(id, encode(info), A, rd=true).encode().
+TEST(QnameCodec, EncodeQueryMatchesMakeQueryEncode) {
+  const std::vector<QnameCodec> codecs = {
+      codec(), QnameCodec(DnsName::must_parse("dns-lab.org"),
+                          std::string(63, 'k'))};
+  const std::vector<std::pair<IpAddr, IpAddr>> addrs = {
+      {IpAddr::must_parse("192.168.0.10"), IpAddr::must_parse("20.1.2.3")},
+      {IpAddr::must_parse("0.0.0.0"), IpAddr::must_parse("255.255.255.255")},
+      {IpAddr::must_parse("fc00::10"), IpAddr::must_parse("2400:30:0:5::10")},
+      {IpAddr::must_parse("::"),
+       IpAddr::must_parse("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff")}};
+  const sim::SimTime ts_max = std::numeric_limits<sim::SimTime>::max();
+  std::size_t checked = 0;
+  for (const QnameCodec& c : codecs) {
+    for (const auto& [src, dst] : addrs) {
+      for (int m = 0; m <= static_cast<int>(QueryMode::kPoison); ++m) {
+        for (const sim::SimTime ts : {sim::SimTime{0}, ts_max}) {
+          for (const sim::Asn asn : {sim::Asn{0}, sim::Asn{UINT32_MAX}}) {
+            const QnameInfo info{ts, src, dst, asn, static_cast<QueryMode>(m)};
+            const auto id = static_cast<std::uint16_t>(checked * 7919);
+            const std::vector<std::uint8_t> want =
+                dns::make_query(id, c.encode(info), dns::RrType::kA,
+                                /*rd=*/true)
+                    .encode();
+            std::vector<std::uint8_t> got = c.encode_query(id, info);
+            EXPECT_EQ(got, want) << c.encode(info).to_string();
+            BufferPool::release(std::move(got));
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2u * 4 * 7 * 2 * 2);
+}
+
+TEST(QnameCodec, EncodeQueryRejectsWhatEncodeRejects) {
+  // A v6 probe name under a 63-octet keyword and a long base passes 255
+  // octets: both paths refuse it with the same error.
+  const DnsName base = DnsName::must_parse(std::string(60, 'b') + "." +
+                                           std::string(60, 'c') + ".org");
+  const QnameCodec c(base, std::string(63, 'k'));
+  const QnameInfo info{std::numeric_limits<sim::SimTime>::max(),
+                       IpAddr::must_parse("fc00::10"),
+                       IpAddr::must_parse("2400:30:0:5::10"), UINT32_MAX,
+                       QueryMode::kV6Only};
+  std::string encode_error, query_error;
+  try {
+    (void)c.encode(info);
+  } catch (const InvariantError& e) {
+    encode_error = e.what();
+  }
+  try {
+    (void)c.encode_query(1, info);
+  } catch (const InvariantError& e) {
+    query_error = e.what();
+  }
+  EXPECT_NE(encode_error.find("DNS name too long"), std::string::npos)
+      << encode_error;
+  EXPECT_EQ(query_error, encode_error);
+  // The same codec still writes a v4 probe, which fits.
+  QnameInfo v4 = info;
+  v4.src = IpAddr::must_parse("192.168.0.10");
+  v4.dst = IpAddr::must_parse("20.1.2.3");
+  v4.mode = QueryMode::kInitial;
+  EXPECT_EQ(c.encode_query(2, v4),
+            dns::make_query(2, c.encode(v4), dns::RrType::kA).encode());
 }
 
 TEST(QueryModeName, AllNamed) {

@@ -1,9 +1,15 @@
-// Unit + property tests: spoofed-source selection (§3.2).
+// Unit + property tests: spoofed-source selection (§3.2), and a
+// self-shrinking property program against the reference selector.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "net/special.h"
+#include "reference_source_select.h"
 #include "scanner/source_select.h"
 
 namespace {
@@ -261,6 +267,240 @@ TEST(SourceSelectorProperty, RandomizedAsPopulation) {
     EXPECT_NE(same.front(), c.target);
     EXPECT_EQ(cats.at(SourceCategory::kDstAsSrc),
               std::vector<IpAddr>{c.target});
+  }
+}
+
+// --- Property program: the selector against tests/reference_source_select.h
+//
+// A program is a list of ops: announcements and v6 hitlist entries build one
+// topology, then the queries run in program order against a production and
+// a reference selector built from the same seed, and every source list must
+// be identical, element for element. The production selector builds an AS's
+// /24 table on its first query, so the interleaving of queries across ASes
+// is part of the program. Topologies mix small ASes (whole /24 pool) and
+// large ones (weighted rejection draws), announcements longer than /24 and
+// repeated or nested ones (duplicate /24s), v6 ASes with hitlist /64s, and
+// targets on the edges of their /24 and of their announcement.
+
+struct SelectOp {
+  enum Kind { kAnnounce, kHitlist, kQuery } kind = kAnnounce;
+  sim::Asn asn = 0;
+  Prefix prefix;  // kAnnounce
+  IpAddr addr;    // kHitlist entry, kQuery target
+};
+
+std::string format_op(const SelectOp& op) {
+  switch (op.kind) {
+    case SelectOp::kAnnounce:
+      return "announce AS" + std::to_string(op.asn) + " " +
+             op.prefix.to_string();
+    case SelectOp::kHitlist: return "hitlist " + op.addr.to_string();
+    case SelectOp::kQuery:
+      return "query " + op.addr.to_string() + " AS" + std::to_string(op.asn);
+  }
+  return "?";
+}
+
+std::string format_sources(const std::vector<SpoofedSource>& list) {
+  std::string out;
+  for (const SpoofedSource& s : list) {
+    out += s.addr.to_string() + "/" +
+           std::to_string(static_cast<int>(s.category)) + " ";
+  }
+  return out;
+}
+
+/// Runs the program; returns the first divergence.
+std::optional<std::string> run_select_program(const std::vector<SelectOp>& ops,
+                                              std::size_t cap,
+                                              std::uint64_t seed) {
+  sim::Topology topology;
+  std::vector<IpAddr> hitlist;
+  for (const SelectOp& op : ops) {
+    if (op.kind == SelectOp::kAnnounce) {
+      topology.add_as(op.asn);
+      topology.announce(op.asn, op.prefix);
+    } else if (op.kind == SelectOp::kHitlist) {
+      hitlist.push_back(op.addr);
+    }
+  }
+  scanner::SourceSelectConfig config;
+  config.max_other_prefixes = cap;
+  SourceSelector prod(topology, hitlist, config, Rng(seed));
+  scanner::ref::SourceSelector ref(topology, hitlist, config, Rng(seed));
+  for (std::size_t step = 0; step < ops.size(); ++step) {
+    const SelectOp& op = ops[step];
+    if (op.kind != SelectOp::kQuery) continue;
+    const auto got = prod.sources_for(op.addr, op.asn);
+    const auto want = ref.sources_for(op.addr, op.asn);
+    if (got != want) {
+      return "op " + std::to_string(step) + " (" + format_op(op) +
+             "):\n    got  " + format_sources(got) + "\n    want " +
+             format_sources(want);
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<SelectOp> gen_select_program(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<SelectOp> ops;
+  struct AsPlan {
+    sim::Asn asn;
+    std::vector<Prefix> v4, v6;
+  };
+  std::vector<AsPlan> ases;
+  const std::size_t n_ases = 3 + rng.uniform(6);
+  for (std::size_t k = 0; k < n_ases; ++k) {
+    AsPlan as{static_cast<sim::Asn>(100 + k), {}, {}};
+    const std::uint64_t families = rng.uniform(3);  // v4, v6, both
+    if (families != 1) {
+      // One /8 per AS. Mostly /15../28, so totals land on both sides of
+      // the small-AS threshold; some repeat or nest an earlier prefix.
+      const auto block = static_cast<std::uint32_t>(20 + k) << 24;
+      const std::size_t n = 1 + rng.uniform(6);
+      for (std::size_t i = 0; i < n; ++i) {
+        const int len = 15 + static_cast<int>(rng.uniform(14));
+        Prefix p(IpAddr::v4(block | static_cast<std::uint32_t>(
+                                        rng.uniform(1u << 24))),
+                 len);
+        if (!as.v4.empty() && rng.uniform(3) == 0) {
+          const Prefix& prev = as.v4[rng.uniform(as.v4.size())];
+          p = rng.uniform(2) == 0
+                  ? prev
+                  : Prefix(prev.nth(rng.uniform(prev.size_clamped())),
+                           std::min(32, prev.length() +
+                                            1 + static_cast<int>(
+                                                    rng.uniform(10))));
+        }
+        as.v4.push_back(p);
+      }
+    }
+    if (families != 0) {
+      // One /28 per AS; /32../72 announcements, some repeated.
+      const std::uint64_t block = 0x2600000000000000ULL | (k << 36);
+      const std::size_t n = 1 + rng.uniform(4);
+      static const int kLens[] = {32, 40, 48, 56, 60, 62, 64, 72};
+      for (std::size_t i = 0; i < n; ++i) {
+        Prefix p(IpAddr::v6(block | (rng.u64() >> 28), rng.u64()),
+                 kLens[rng.uniform(8)]);
+        if (!as.v6.empty() && rng.uniform(4) == 0) {
+          p = as.v6[rng.uniform(as.v6.size())];
+        }
+        as.v6.push_back(p);
+      }
+    }
+    for (const auto* list : {&as.v4, &as.v6}) {
+      for (const Prefix& p : *list) {
+        ops.push_back({SelectOp::kAnnounce, as.asn, p, {}});
+      }
+    }
+    ases.push_back(std::move(as));
+  }
+
+  // An address in `p`: at its first or last /24 (/64) or a random one, and
+  // at the edge of that subprefix or anywhere in it.
+  const auto addr_in = [&](const Prefix& p) {
+    const int sub = p.family() == net::IpFamily::kV4 ? 24 : 64;
+    const std::uint64_t subs =
+        p.length() < sub ? p.count_subprefixes(sub) : 1;
+    std::uint64_t index = 0;
+    switch (rng.uniform(3)) {
+      case 0: index = 0; break;
+      case 1: index = subs - 1; break;
+      default: index = rng.uniform(subs); break;
+    }
+    if (sub == 24) {
+      static const std::uint32_t kHosts[] = {0, 255, 1, 254};
+      const std::uint32_t host = rng.uniform(2) == 0
+                                     ? kHosts[rng.uniform(4)]
+                                     : static_cast<std::uint32_t>(
+                                           rng.uniform(256));
+      const std::uint32_t p24 =
+          (p.base().v4_bits() >> 8) + static_cast<std::uint32_t>(index);
+      return IpAddr::v4((p24 << 8) | host);
+    }
+    const std::uint64_t hi = p.base().bits().hi + index;
+    const std::uint64_t lo =
+        rng.uniform(2) == 0 ? rng.uniform(120) : rng.u64();
+    return IpAddr::v6(hi, lo);
+  };
+
+  for (const AsPlan& as : ases) {
+    for (const Prefix& p : as.v6) {  // hitlist /64s, some repeated
+      const std::size_t n = rng.uniform(4);
+      for (std::size_t i = 0; i < n; ++i) {
+        const IpAddr a = addr_in(p);
+        ops.push_back({SelectOp::kHitlist, 0, {}, a});
+        if (rng.uniform(4) == 0) ops.push_back({SelectOp::kHitlist, 0, {}, a});
+      }
+    }
+  }
+  ops.push_back({SelectOp::kHitlist, 0, {}, IpAddr::must_parse("3fff::1")});
+  ops.push_back({SelectOp::kHitlist, 0, {}, IpAddr::must_parse("20.0.0.1")});
+
+  const std::size_t n_queries = 40 + rng.uniform(40);
+  for (std::size_t i = 0; i < n_queries; ++i) {
+    const AsPlan& as = ases[rng.uniform(ases.size())];
+    const bool v4 = as.v6.empty() || (!as.v4.empty() && rng.uniform(2) == 0);
+    const auto& list = v4 ? as.v4 : as.v6;
+    SelectOp op{SelectOp::kQuery, as.asn, {},
+                addr_in(list[rng.uniform(list.size())])};
+    // Now and then the AS argument names another AS.
+    if (rng.uniform(16) == 0) op.asn = ases[rng.uniform(ases.size())].asn;
+    ops.push_back(op);
+  }
+  rng.shuffle(ops);
+  return ops;
+}
+
+/// Greedy delta-debugging, as in the name property program: drop chunks of
+/// ops (halving the chunk size) while the program still diverges.
+std::vector<SelectOp> shrink_select_program(std::vector<SelectOp> ops,
+                                            std::size_t cap,
+                                            std::uint64_t seed) {
+  for (std::size_t chunk = ops.size() / 2; chunk >= 1; chunk /= 2) {
+    bool removed_any = true;
+    while (removed_any) {
+      removed_any = false;
+      for (std::size_t start = 0; start + chunk <= ops.size();) {
+        std::vector<SelectOp> candidate(ops.begin(),
+                                        ops.begin() +
+                                            static_cast<std::ptrdiff_t>(start));
+        candidate.insert(
+            candidate.end(),
+            ops.begin() + static_cast<std::ptrdiff_t>(start + chunk),
+            ops.end());
+        if (run_select_program(candidate, cap, seed)) {
+          ops = std::move(candidate);
+          removed_any = true;
+        } else {
+          start += chunk;
+        }
+      }
+    }
+  }
+  return ops;
+}
+
+TEST(SourceSelectProperty, RandomTopologiesMatchReferenceExactly) {
+  for (const std::uint64_t seed : {1ull, 5ull, 17ull, 42ull, 99ull, 2020ull,
+                                   31337ull, 777ull}) {
+    for (const std::size_t cap : {std::size_t{97}, std::size_t{6}}) {
+      std::vector<SelectOp> ops = gen_select_program(seed);
+      if (const auto bad = run_select_program(ops, cap, seed)) {
+        const auto minimal = shrink_select_program(std::move(ops), cap, seed);
+        std::ostringstream program;
+        for (const SelectOp& op : minimal) {
+          program << "  " << format_op(op) << "\n";
+        }
+        FAIL() << "SourceSelector diverges from reference (" << *bad
+               << "); seed=" << seed << " cap=" << cap << "; minimal program ("
+               << minimal.size() << " ops, "
+               << *run_select_program(minimal, cap, seed) << "):\n"
+               << program.str();
+      }
+    }
   }
 }
 

@@ -223,13 +223,8 @@ int main(int argc, char** argv) {
 
     if (opt.crosscheck_window > 0) {
       cc_probes = out.merged.crosscheck_probes;
-      std::vector<cd::scanner::PrefixTarget> probed;
-      probed.reserve(cd::ditl::count_prefix24(*plan));
-      cd::ditl::for_each_prefix24(
-          *plan, 0, 1,
-          [&probed](cd::sim::Asn asn, const cd::net::Prefix& p24) {
-            probed.push_back({p24, asn});
-          });
+      const std::vector<cd::scanner::PrefixTarget> probed =
+          cd::ditl::prefix24_targets(*plan);
       cc_prefixes = probed.size();
       for (const auto& [base, rec] : out.merged.crosscheck_records) {
         if (rec.vulnerable()) ++cc_vulnerable;

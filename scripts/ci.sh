@@ -7,11 +7,12 @@
 # suite (label "transport", whose campaign differential does the same with
 # pipelined sessions) and the event-core suite (label "eventcore"),
 # AddressSanitizer over the fuzz + pcap + batched-delivery + tcp +
-# transport + campaign + crosscheck + poison + eventcore labels
+# transport + campaign + crosscheck + poison + eventcore + resolver labels
 # (bit-flip/truncation fuzzing only proves "throws, never over-reads" when
 # the reads are instrumented, the TCP reassembly/segment/session paths
-# exercise the pooled-buffer recycling hardest, and the event loop's
-# intrusive node pool and heap entries are raw pointers), and
+# exercise the pooled-buffer recycling hardest, the event loop's
+# intrusive node pool and heap entries are raw pointers, and the resolver
+# destroys a UDP handler from inside that handler's own call), and
 # UndefinedBehaviorSanitizer over the same labels plus the full unit suite
 # (shift/overflow/alignment UB in the byte codecs), the golden-table pins
 # (label "golden"), the allocation regression (label "alloc": UBSan does
@@ -20,7 +21,8 @@
 # (label "example") and a short run of the one-shot TCP exchange
 # microbench (label "micro"). A final label audit fails the run if a
 # tests/test_*.cpp is unregistered, a registered test carries no label,
-# or a label runs in no sanitizer lane without a written exclusion.
+# or a label runs in no sanitizer lane without a written exclusion, and a
+# source audit fails it if src/ spells a second callable type.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]   (default: build-ci)
 # Env:   CD_COVERAGE=1 adds a gcov-instrumented run reporting
@@ -34,7 +36,7 @@ PREFIX="${1:-build-ci}"
 # The label regex each sanitizer lane runs; the audit below checks that
 # every ctest label appears in one of them or in UNSANITIZED_LABELS.
 TSAN_LABELS="parallel|tcp|transport|eventcore"
-ASAN_LABELS="fuzz|pcap|batched|tcp|transport|campaign|crosscheck|poison|eventcore"
+ASAN_LABELS="fuzz|pcap|batched|tcp|transport|campaign|crosscheck|poison|eventcore|resolver"
 UBSAN_LABELS="unit|pcap|batched|fuzz|tcp|transport|campaign|crosscheck|poison|cli|golden|alloc|example|micro"
 # Labels deliberately run only in the plain build, as "label: reason" lines.
 UNSANITIZED_LABELS=""
@@ -62,7 +64,7 @@ cmake --build "${PREFIX}-tsan" -j --target test_core_parallel test_sim_tcp \
 ctest --test-dir "${PREFIX}-tsan" -L "${TSAN_LABELS}" \
   --output-on-failure
 
-echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poison/eventcore ctest ==="
+echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poison/eventcore/resolver ctest ==="
 # The campaign label covers the streamed-world + disk-spill battery: the
 # spill truncation/bit-flip fuzz only proves "throws, never over-reads" when
 # the reads are instrumented, and its RSS-budget test asserts the
@@ -78,13 +80,17 @@ echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poiso
 # inline buffer a word at a time, and the name property programs drive
 # heap-spilled names, suffix probes and compression pointers through it. So
 # does the source-selection suite, whose property program drives the
-# selector's per-AS /24 tables over random topologies.
+# selector's per-AS /24 tables over random topologies. The resolver label
+# covers RecursiveResolver, which unbinds an upstream query's UDP port from
+# inside that port's own handler on every answer: the handler's SmallFn is
+# destroyed while it runs, and ASan proves nothing touches it afterwards.
 cmake -B "${PREFIX}-asan" -S . -DCD_SANITIZE=address >/dev/null
 cmake --build "${PREFIX}-asan" -j --target \
   test_util_bytes test_dns_message test_util_pcap test_golden_pcap \
   test_sim_batched test_sim_tcp test_net_checksum test_campaign_stream \
   test_crosscheck test_attack_poisoning test_transport test_sim_event_core \
-  test_dns_name test_dns_cache test_scanner_qname test_scanner_sources
+  test_dns_name test_dns_cache test_scanner_qname test_scanner_sources \
+  test_resolver_recursive test_resolver_auth
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir "${PREFIX}-asan" \
   -L "${ASAN_LABELS}" \
@@ -136,6 +142,17 @@ for label in ${labels//|/ }; do
 done
 echo "label audit: all ${total} tests registered and labeled;" \
   "every label runs in a sanitizer lane"
+
+echo "=== callable audit ==="
+# Every type-erased callback in src/ is a move-only sim::SmallFn
+# (sim/callback.h): one mechanism, no per-call allocation for the hot
+# closures, single ownership of deferred replies. A std::function in src/
+# brings back the second type.
+if grep -rn "std::function" src/; then
+  echo "callable audit: src/ uses std::function; use sim::SmallFn" >&2
+  exit 1
+fi
+echo "callable audit: src/ has one callable type"
 
 if [[ "${CD_COVERAGE:-0}" == "1" ]]; then
   if command -v gcovr >/dev/null 2>&1; then

@@ -285,8 +285,8 @@ void SpoofInjector::observe_auth(const cd::resolver::AuthLogEntry& entry) {
 }
 
 void SpoofInjector::finalize(
-    const std::function<cd::resolver::RecursiveResolver*(const IpAddr&)>&
-        resolver_of) {
+    const std::vector<std::unique_ptr<cd::resolver::RecursiveResolver>>&
+        resolvers) {
   // A fixed check time, derived only from the config: the event loop's final
   // timestamp depends on unrelated traffic (and thus on shard layout), so
   // TTL decay must not be measured against it.
@@ -295,8 +295,11 @@ void SpoofInjector::finalize(
       static_cast<SimTime>(config_.rounds + 1) * kRoundSpacing +
       cd::sim::kSecond;
 
-  for (auto& [addr, state] : victims_) {
-    if (cd::resolver::RecursiveResolver* res = resolver_of(addr)) {
+  for (const auto& res : resolvers) {
+    for (const IpAddr& addr : res->host().addresses()) {
+      const auto it = victims_.find(addr);
+      if (it == victims_.end()) continue;
+      VictimState& state = it->second;
       for (int r = 1; r <= config_.rounds && !state.rec.success; ++r) {
         const auto hit =
             res->cache().lookup(state.names[static_cast<std::size_t>(r)],
@@ -313,6 +316,8 @@ void SpoofInjector::finalize(
         }
       }
     }
+  }
+  for (auto& [addr, state] : victims_) {
     records_.emplace(addr, std::move(state.rec));
   }
 }

@@ -20,8 +20,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "dns/name.h"
@@ -125,11 +125,12 @@ class SpoofInjector {
 
   /// After the event loop drains: inspect each victim's cache for accepted
   /// forgeries (at a deterministic check time independent of loop end) and
-  /// build the outcome records. `resolver_of` maps a victim address to its
-  /// resolver, or null if the address was not materialized.
+  /// build the outcome records. `resolvers` is the shard's resolver list:
+  /// a victim's cache is that of the resolver whose host holds the victim's
+  /// address, and a victim no resolver holds is recorded without success.
   void finalize(
-      const std::function<cd::resolver::RecursiveResolver*(
-          const cd::net::IpAddr&)>& resolver_of);
+      const std::vector<std::unique_ptr<cd::resolver::RecursiveResolver>>&
+          resolvers);
 
   [[nodiscard]] const PoisonRecords& records() const { return records_; }
   [[nodiscard]] std::uint64_t triggers_sent() const { return triggers_; }

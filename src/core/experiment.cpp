@@ -1,7 +1,6 @@
 #include "core/experiment.h"
 
 #include <type_traits>
-#include <unordered_map>
 
 #include "ditl/plan.h"
 #include "sim/os_model.h"
@@ -212,15 +211,10 @@ const ExperimentResults& Experiment::run() {
   cd::pcap::Capture capture;
   std::optional<cd::sim::Network::TapId> capture_tap;
   if (config_.capture) {
-    cd::sim::Network::CaptureOptions options;
+    cd::sim::CaptureOptions options;
     options.include_drops = config_.capture->include_drops;
     if (config_.capture->probes_only) {
-      const cd::sim::Asn vantage_asn = world_.vantage->asn();
-      options.filter = [vantage_asn](const cd::net::Packet&,
-                                     cd::sim::DropReason,
-                                     cd::sim::Asn origin) {
-        return origin == vantage_asn;
-      };
+      options.origin = world_.vantage->asn();
     }
     capture_tap = world_.network->attach_capture(capture, std::move(options));
   }
@@ -233,15 +227,8 @@ const ExperimentResults& Experiment::run() {
     // plan over the world's shard scope, so a shard world schedules exactly
     // its slice of the serial campaign's prefixes.
     const auto plan = cd::ditl::build_campaign_plan(world_.spec);
-    std::vector<cd::scanner::PrefixTarget> prefixes;
-    prefixes.reserve(cd::ditl::count_prefix24(*plan, world_.shard_index,
-                                              world_.num_shards));
-    cd::ditl::for_each_prefix24(
-        *plan, world_.shard_index, world_.num_shards,
-        [&prefixes](cd::sim::Asn asn, const cd::net::Prefix& p24) {
-          prefixes.push_back({p24, asn});
-        });
-    crosscheck_prober_->schedule_campaign(std::move(prefixes));
+    crosscheck_prober_->schedule_campaign(cd::ditl::prefix24_targets(
+        *plan, world_.shard_index, world_.num_shards));
   }
   if (injector_) {
     // Victims come from the same target list the prober uses: v4,
@@ -297,20 +284,7 @@ const ExperimentResults& Experiment::run() {
     results.crosscheck_probes = crosscheck_prober_->probes_sent();
   }
   if (injector_) {
-    std::unordered_map<cd::net::IpAddr, cd::resolver::RecursiveResolver*,
-                       cd::net::IpAddrHash>
-        resolver_by_addr;
-    for (auto& res : world_.resolvers) {
-      for (const cd::net::IpAddr& addr : res->host().addresses()) {
-        resolver_by_addr.emplace(addr, res.get());
-      }
-    }
-    injector_->finalize(
-        [&resolver_by_addr](const cd::net::IpAddr& addr)
-            -> cd::resolver::RecursiveResolver* {
-          const auto it = resolver_by_addr.find(addr);
-          return it == resolver_by_addr.end() ? nullptr : it->second;
-        });
+    injector_->finalize(world_.resolvers);
     results.poison_records = injector_->records();
     results.poison_triggers = injector_->triggers_sent();
     results.poison_forged = injector_->forged_sent();

@@ -150,34 +150,32 @@ std::unique_ptr<CampaignPlan> build_campaign_plan(const WorldSpec& spec) {
   return plan;
 }
 
-void for_each_prefix24(
-    const CampaignPlan& plan, std::size_t shard, std::size_t num_shards,
-    const std::function<void(cd::sim::Asn, const Prefix&)>& fn) {
-  for (std::size_t id = 0; id < plan.size(); ++id) {
-    const cd::sim::Asn asn = plan.asn_of(id);
-    if (cd::scanner::shard_of(asn, num_shards) != shard) continue;
-    for (std::size_t p = 0; p < plan.v4_count(id); ++p) {
-      const Prefix& announced = plan.v4_prefix(id, p);
-      const std::uint64_t n24 = announced.count_subprefixes(24);
-      for (std::uint64_t j = 0; j < n24; ++j) {
-        fn(asn, Prefix(announced.nth(j << 8), 24));
-      }
-    }
-  }
-}
-
-std::uint64_t count_prefix24(const CampaignPlan& plan, std::size_t shard,
-                             std::size_t num_shards) {
+std::vector<cd::scanner::PrefixTarget> prefix24_targets(
+    const CampaignPlan& plan, std::size_t shard, std::size_t num_shards) {
+  const auto in_shard = [&](std::size_t id) {
+    return cd::scanner::shard_of(plan.asn_of(id), num_shards) == shard;
+  };
+  // Count first, so the list is allocated once at its exact size.
   std::uint64_t n = 0;
   for (std::size_t id = 0; id < plan.size(); ++id) {
-    if (cd::scanner::shard_of(plan.asn_of(id), num_shards) != shard) {
-      continue;
-    }
+    if (!in_shard(id)) continue;
     for (std::size_t p = 0; p < plan.v4_count(id); ++p) {
       n += plan.v4_prefix(id, p).count_subprefixes(24);
     }
   }
-  return n;
+  std::vector<cd::scanner::PrefixTarget> out;
+  out.reserve(n);
+  for (std::size_t id = 0; id < plan.size(); ++id) {
+    if (!in_shard(id)) continue;
+    for (std::size_t p = 0; p < plan.v4_count(id); ++p) {
+      const Prefix& announced = plan.v4_prefix(id, p);
+      const std::uint64_t n24 = announced.count_subprefixes(24);
+      for (std::uint64_t j = 0; j < n24; ++j) {
+        out.push_back({Prefix(announced.nth(j << 8), 24), plan.asn_of(id)});
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace cd::ditl

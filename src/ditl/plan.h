@@ -22,12 +22,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "ditl/world_spec.h"
 #include "net/ip.h"
+#include "scanner/crosscheck.h"
 #include "sim/topology.h"
 #include "util/arena.h"
 
@@ -112,19 +113,15 @@ class CampaignPlan {
 [[nodiscard]] std::unique_ptr<CampaignPlan> build_campaign_plan(
     const WorldSpec& spec);
 
-/// Enumerates every announced IPv4 /24 of one campaign shard, in dense-id /
-/// prefix order: the Closed Resolver cross-check modality's target universe
-/// (scanner/crosscheck.h). Sharding follows scanner::shard_of on the owning
-/// AS — the same partition the probe plane uses — so each /24 belongs to
-/// exactly one shard and per-shard unions reproduce the serial enumeration.
-/// IPv6 prefixes are skipped (the prefix scanner is a v4 /24 walk).
-void for_each_prefix24(
-    const CampaignPlan& plan, std::size_t shard, std::size_t num_shards,
-    const std::function<void(cd::sim::Asn, const cd::net::Prefix&)>& fn);
-
-/// Number of /24s for_each_prefix24 would visit (plan sizing / benches).
-[[nodiscard]] std::uint64_t count_prefix24(const CampaignPlan& plan,
-                                           std::size_t shard = 0,
-                                           std::size_t num_shards = 1);
+/// Every announced IPv4 /24 of one campaign shard with its owning AS, in
+/// dense-id / prefix order: the Closed Resolver cross-check modality's
+/// target universe (scanner/crosscheck.h). Sharding follows
+/// scanner::shard_of on the owning AS — the same partition the probe plane
+/// uses — so each /24 belongs to exactly one shard and per-shard lists
+/// concatenate to the serial enumeration. IPv6 prefixes are skipped (the
+/// prefix scanner is a v4 /24 walk).
+[[nodiscard]] std::vector<cd::scanner::PrefixTarget> prefix24_targets(
+    const CampaignPlan& plan, std::size_t shard = 0,
+    std::size_t num_shards = 1);
 
 }  // namespace cd::ditl

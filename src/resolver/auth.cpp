@@ -146,7 +146,7 @@ void AuthServer::record(const DnsMessage& query, const cd::net::IpAddr& client,
   entry.syn = syn;
 
   ++served_;
-  for (const Observer& obs : observers_) obs(entry);
+  for (Observer& obs : observers_) obs(entry);
 }
 
 void AuthServer::on_udp(const Packet& packet) {

@@ -6,7 +6,6 @@
 // the mechanism the paper uses to elicit DNS-over-TCP follow-ups.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -40,7 +39,7 @@ struct AuthConfig {
 
 class AuthServer {
  public:
-  using Observer = std::function<void(const AuthLogEntry&)>;
+  using Observer = cd::sim::SmallFn<void(const AuthLogEntry&)>;
 
   /// Binds UDP and TCP port 53 on `host`. The server must outlive the host's
   /// bound handlers (keep both alive for the whole simulation).

@@ -76,8 +76,8 @@ void RecursiveResolver::handle_tcp_client(
   }
   const DnsMessage query_copy = query;
   resolve(query.qname(), query.questions.front().qtype,
-          [this, query_copy, reply](Rcode rcode,
-                                    const std::vector<DnsRr>& records) {
+          [this, query_copy, reply = std::move(reply)](
+              Rcode rcode, const std::vector<DnsRr>& records) mutable {
             DnsMessage resp = cd::dns::make_response(query_copy, rcode);
             resp.header.ra = true;
             resp.answers = records;
@@ -652,7 +652,7 @@ void RecursiveResolver::handle_answer(const TaskPtr& task,
     std::vector<DnsRr> chain = task->cname_chain;
     const RrType qtype = task->qtype;
     const int depth = task->cname_depth;
-    auto done = task->done;
+    auto done = std::move(task->done);
     task->finished = true;  // retire the old task; continuation owns `done`
     resolve_internal(
         *cname_target, qtype,

@@ -8,7 +8,6 @@
 // from a pluggable allocator — the behaviour the paper's measurement keys on.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -66,7 +65,7 @@ struct ResolverStats {
 
 class RecursiveResolver {
  public:
-  using ResolveCallback = std::function<void(
+  using ResolveCallback = cd::sim::SmallFn<void(
       cd::dns::Rcode, const std::vector<cd::dns::DnsRr>&)>;
 
   /// Binds UDP port 53 on `host`. `allocator` supplies source ports for

@@ -4,7 +4,6 @@
 // per-target evidence all later analysis consumes.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -69,8 +68,8 @@ struct CollectorStats {
 
 class Collector {
  public:
-  using FirstHitHandler =
-      std::function<void(const TargetRecord&, const cd::net::IpAddr& source)>;
+  using FirstHitHandler = cd::sim::SmallFn<void(
+      const TargetRecord&, const cd::net::IpAddr& source)>;
 
   /// `topology` is used to attribute client addresses to ASes (may be null;
   /// QNAME-minimization AS evidence is then skipped).

@@ -67,7 +67,7 @@ class CrossCheckProber {
   CrossCheckProber& operator=(const CrossCheckProber&) = delete;
 
   /// Schedules one probe chain per prefix, staggered over the window. The
-  /// list must already be this shard's slice (ditl::for_each_prefix24
+  /// list must already be this shard's slice (ditl::prefix24_targets
   /// filters by shard); each chain's timing derives from the prefix base,
   /// not the list position. Call once; then run the event loop.
   void schedule_campaign(std::vector<PrefixTarget> prefixes);

@@ -1,4 +1,5 @@
-// Small-buffer-optimized move-only callback for the event core.
+// Small-buffer-optimized move-only callable: the simulator's one
+// type-erased callback type.
 #pragma once
 
 #include <cstddef>
@@ -9,15 +10,27 @@
 
 namespace cd::sim {
 
-/// Move-only type-erased `void()` callable with inline storage sized for the
-/// event core's hot capture lists (sim::Network's 16-byte drain closure,
-/// sim::Host's [this, ConnKey] timeout lambdas). Callables that fit —
+template <typename Signature>
+class SmallFn;
+
+/// Move-only type-erased `R(Args...)` callable with inline storage sized for
+/// the simulator's per-event and per-message capture lists: the event core's
+/// drain and timeout closures (sim::Network's [this, host], sim::Host's
+/// [this, ConnKey]), deferred TCP replies, resolver continuations, UDP and
+/// TCP service handlers and authoritative observers. Callables that fit —
 /// sizeof(F) <= kInlineSize and nothrow-move-constructible — live entirely
-/// inside the node that carries them: scheduling one costs zero heap
-/// allocations. Oversized or throwing-move callables (e.g. the per-packet
-/// differential-baseline closure that captures a whole net::Packet) fall back
-/// to one heap allocation, exactly like std::function would.
-class SmallFn {
+/// inside the object that carries them: storing or moving one costs zero
+/// heap allocations. Oversized or throwing-move callables (e.g. a resolver
+/// continuation that captures a whole DnsMessage) fall back to one heap
+/// allocation.
+///
+/// Move-only means single ownership: a deferred reply or continuation can be
+/// handed on but never duplicated, so it cannot run twice by accident.
+/// Invocation touches nothing of the SmallFn after the callable returns, so
+/// a callable may destroy the object that stores it (a UDP handler that
+/// unbinds its own port).
+template <typename R, typename... Args>
+class SmallFn<R(Args...)> {
  public:
   /// Inline capacity. 48 bytes holds every steady-state closure in the tree
   /// with room for an IpAddr-keyed capture; the callable's address is
@@ -29,9 +42,9 @@ class SmallFn {
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, SmallFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  SmallFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for
-                    // std::function at every schedule_* call site.
+                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  SmallFn(F&& f) {  // NOLINT(google-explicit-constructor): lambdas convert
+                    // implicitly at every schedule_* and handler call site.
     using Fn = std::decay_t<F>;
     if constexpr (fits_inline<Fn>()) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
@@ -57,7 +70,10 @@ class SmallFn {
 
   ~SmallFn() { reset(); }
 
-  void operator()() { ops_->invoke(buf_); }
+  /// Invokes the stored callable; requires a non-empty SmallFn.
+  R operator()(Args... args) {
+    return ops_->invoke(buf_, std::forward<Args>(args)...);
+  }
 
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
@@ -84,7 +100,7 @@ class SmallFn {
 
  private:
   struct Ops {
-    void (*invoke)(unsigned char*);
+    R (*invoke)(unsigned char*, Args&&...);
     /// Moves the callable from `from` into `to` and destroys the source.
     void (*relocate)(unsigned char* from, unsigned char* to);
     void (*destroy)(unsigned char*);
@@ -92,9 +108,21 @@ class SmallFn {
   };
 
   template <typename Fn>
+  static R call(Fn& fn, Args&&... args) {
+    if constexpr (std::is_void_v<R>) {
+      fn(std::forward<Args>(args)...);
+    } else {
+      return fn(std::forward<Args>(args)...);
+    }
+  }
+
+  template <typename Fn>
   static const Ops* inline_ops() {
     static constexpr Ops ops{
-        [](unsigned char* b) { (*std::launder(reinterpret_cast<Fn*>(b)))(); },
+        [](unsigned char* b, Args&&... args) -> R {
+          return call(*std::launder(reinterpret_cast<Fn*>(b)),
+                      std::forward<Args>(args)...);
+        },
         [](unsigned char* from, unsigned char* to) {
           Fn* f = std::launder(reinterpret_cast<Fn*>(from));
           ::new (static_cast<void*>(to)) Fn(std::move(*f));
@@ -108,7 +136,10 @@ class SmallFn {
   template <typename Fn>
   static const Ops* heap_ops() {
     static constexpr Ops ops{
-        [](unsigned char* b) { (**reinterpret_cast<Fn**>(b))(); },
+        [](unsigned char* b, Args&&... args) -> R {
+          return call(**reinterpret_cast<Fn**>(b),
+                      std::forward<Args>(args)...);
+        },
         [](unsigned char* from, unsigned char* to) {
           *reinterpret_cast<Fn**>(to) = *reinterpret_cast<Fn**>(from);
         },

@@ -26,9 +26,9 @@ using EventId = std::uint64_t;
 /// (tests/reference_scheduler.h, tests/test_sim_event_core.cpp).
 class EventLoop {
  public:
-  /// Scheduling callback. Move-only; callables up to SmallFn::kInlineSize
+  /// Scheduling callback. Move-only; callables up to SmallFn's kInlineSize
   /// bytes are stored inline (no heap allocation on the scheduling path).
-  using Callback = SmallFn;
+  using Callback = SmallFn<void()>;
 
   EventLoop() = default;
   EventLoop(const EventLoop&) = delete;

@@ -24,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "net/packet.h"
+#include "sim/callback.h"
 #include "sim/network.h"
 #include "sim/os_model.h"
 #include "util/bytes.h"
@@ -96,23 +96,24 @@ class TcpReassembly {
 
 class Host {
  public:
-  using UdpHandler = std::function<void(const cd::net::Packet&)>;
+  using UdpHandler = SmallFn<void(const cd::net::Packet&)>;
   /// Receives the framed response matched to a query, or nullopt on
   /// timeout (or when the server closed the session first).
   using TcpResponseHandler =
-      std::function<void(std::optional<std::vector<std::uint8_t>>)>;
+      SmallFn<void(std::optional<std::vector<std::uint8_t>>)>;
   /// Sends one framed response (framing header + body) on an accepted
   /// connection, streamed back in MSS-sized segments (no-op once the
-  /// connection is gone; an empty GatherBuf sends nothing). Copyable and
-  /// deferrable — the serving application may reply asynchronously.
-  using TcpSessionReply = std::function<void(cd::GatherBuf)>;
+  /// connection is gone; an empty GatherBuf sends nothing). Move-only and
+  /// deferrable: the serving application may hold it and reply later, and
+  /// whoever holds it is the one party that can reply.
+  using TcpSessionReply = SmallFn<void(cd::GatherBuf)>;
   /// Serves one length-prefixed message from an accepted stream. The
   /// message span is valid only for the duration of the call, and the
   /// TcpConnInfo only until the reply is sent (a one-shot reply retires
   /// the connection); reply via the callback, immediately or later
   /// (per-connection pending responses are tracked so idle-timeout
   /// teardown never races an unsent reply).
-  using TcpSessionHandler = std::function<void(
+  using TcpSessionHandler = SmallFn<void(
       const TcpConnInfo&, std::span<const std::uint8_t>, TcpSessionReply)>;
 
   /// MSS assumed for a peer that advertised none (RFC 1122 §4.2.2.6 / RFC

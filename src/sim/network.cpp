@@ -198,35 +198,27 @@ SimTime Network::latency(Asn from, Asn to,
   return base + jitter;
 }
 
-bool Network::capture_wants(const CaptureEntry& entry, const Packet& packet,
-                            DropReason reason, Asn origin_asn) const {
-  if (!entry.sink) return false;  // tombstoned
+bool Network::capture_wants(const CaptureEntry& entry, DropReason reason,
+                            Asn origin_asn) {
   if (reason != DropReason::kNone && !entry.options.include_drops) {
     return false;
   }
-  if (entry.options.filter &&
-      !entry.options.filter(packet, reason, origin_asn)) {
-    return false;
-  }
-  return true;
+  return !entry.options.origin || *entry.options.origin == origin_asn;
 }
 
 void Network::record_capture(const Packet& packet, DropReason reason,
                              Asn origin_asn) {
-  ++dispatch_depth_;
   std::vector<std::uint8_t> wire;  // serialized lazily, shared across sinks
-  for (std::size_t i = 0; i < captures_.size(); ++i) {
-    if (!capture_wants(captures_[i], packet, reason, origin_asn)) continue;
+  for (const CaptureEntry& entry : captures_) {
+    if (!capture_wants(entry, reason, origin_asn)) continue;
     if (wire.empty()) wire = packet.serialize();
     cd::pcap::PcapRecord rec;
     rec.time_us = loop_.now();
     rec.orig_len = static_cast<std::uint32_t>(wire.size());
     rec.annotation = static_cast<std::uint8_t>(reason);
     rec.bytes = wire;
-    captures_[i].sink->records.push_back(std::move(rec));
+    entry.sink->records.push_back(std::move(rec));
   }
-  --dispatch_depth_;
-  if (dispatch_depth_ == 0 && pending_removal_) sweep_tombstones();
   if (!wire.empty()) cd::BufferPool::release(std::move(wire));
 }
 
@@ -235,12 +227,9 @@ void Network::send(Packet packet, Asn origin_asn) {
   Host* host = nullptr;
   const DropReason reason = classify(packet, origin_asn, &host);
 
-  ++dispatch_depth_;
-  for (std::size_t i = 0; i < taps_.size(); ++i) {
-    if (taps_[i].fn) taps_[i].fn(packet, reason, loop_.now());
-  }
-  --dispatch_depth_;
-  if (dispatch_depth_ == 0 && pending_removal_) sweep_tombstones();
+  dispatching_taps_ = true;
+  for (TapEntry& tap : taps_) tap.fn(packet, reason, loop_.now());
+  dispatching_taps_ = false;
 
   switch (reason) {
     case DropReason::kOsav: ++stats_.dropped_osav; break;
@@ -332,6 +321,7 @@ void Network::drain_batch(SimTime at, Host* host) {
 }
 
 Network::TapId Network::add_tap(Tap tap) {
+  CD_ENSURE(!dispatching_taps_, "Network::add_tap called from inside a tap");
   const TapId id = next_tap_id_++;
   taps_.push_back({id, std::move(tap)});
   return id;
@@ -344,33 +334,11 @@ Network::TapId Network::attach_capture(cd::pcap::Capture& sink,
   return id;
 }
 
-Network::TapId Network::attach_capture(cd::pcap::Capture& sink) {
-  return attach_capture(sink, CaptureOptions{});
-}
-
 void Network::remove_tap(TapId id) {
-  const auto tap = std::find_if(taps_.begin(), taps_.end(),
-                                [id](const TapEntry& t) { return t.id == id; });
-  const auto cap =
-      std::find_if(captures_.begin(), captures_.end(),
-                   [id](const CaptureEntry& c) { return c.id == id; });
-  if (dispatch_depth_ > 0) {
-    // Mid-dispatch (a tap removing itself or a sibling): tombstone now,
-    // erase when the dispatch loop unwinds.
-    if (tap != taps_.end()) tap->fn = nullptr;
-    if (cap != captures_.end()) cap->sink = nullptr;
-    pending_removal_ = tap != taps_.end() || cap != captures_.end() ||
-                       pending_removal_;
-    return;
-  }
-  if (tap != taps_.end()) taps_.erase(tap);
-  if (cap != captures_.end()) captures_.erase(cap);
-}
-
-void Network::sweep_tombstones() {
-  std::erase_if(taps_, [](const TapEntry& t) { return !t.fn; });
-  std::erase_if(captures_, [](const CaptureEntry& c) { return !c.sink; });
-  pending_removal_ = false;
+  CD_ENSURE(!dispatching_taps_,
+            "Network::remove_tap called from inside a tap");
+  std::erase_if(taps_, [id](const TapEntry& t) { return t.id == id; });
+  std::erase_if(captures_, [id](const CaptureEntry& c) { return c.id == id; });
 }
 
 }  // namespace cd::sim

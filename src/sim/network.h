@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -126,6 +126,16 @@ struct TransportCounters {
                          const TransportCounters&) = default;
 };
 
+/// Selects the traffic a Network capture tap records.
+struct CaptureOptions {
+  /// Record packets the network dropped (annotated with the DropReason in
+  /// the capture's sidecar index), not just delivered ones.
+  bool include_drops = false;
+  /// When set, record only packets that physically originated in this AS
+  /// (e.g. the scanner's probe plane: origin == vantage AS).
+  std::optional<Asn> origin;
+};
+
 /// Packet transport over a Topology. Latency between AS pairs is a
 /// deterministic function of the pair plus small per-packet jitter derived
 /// by hashing the packet itself, so runs are reproducible but not
@@ -135,22 +145,8 @@ struct TransportCounters {
 /// reproduce a serial run's per-packet timing.
 class Network {
  public:
-  using Tap = std::function<void(const cd::net::Packet&, DropReason, SimTime)>;
+  using Tap = SmallFn<void(const cd::net::Packet&, DropReason, SimTime)>;
   using TapId = std::uint64_t;
-
-  /// Selects the traffic a capture tap records. The predicate (when set)
-  /// sees the packet, its filtering outcome, and the AS the packet
-  /// physically originated in — enough to isolate e.g. the scanner's probe
-  /// plane (origin == vantage AS).
-  struct CaptureOptions {
-    /// Record packets the network dropped (annotated with the DropReason in
-    /// the capture's sidecar index), not just delivered ones.
-    bool include_drops = false;
-    /// When set, a capture tap records only the packets it accepts (e.g.
-    /// traffic to or from one host).
-    std::function<bool(const cd::net::Packet&, DropReason, Asn origin_asn)>
-        filter;
-  };
 
   Network(Topology& topology, EventLoop& loop, cd::Rng rng);
 
@@ -220,6 +216,7 @@ class Network {
 
   /// Taps observe every send attempt with its filtering outcome, at send
   /// time (the IDS-at-the-border viewpoint). Returns an id for remove_tap.
+  /// Throws InvariantError when called from inside a tap.
   TapId add_tap(Tap tap);
 
   /// Installs a wire capture: delivered packets are recorded — full
@@ -229,23 +226,21 @@ class Network {
   /// send time, annotated with their DropReason. `sink` must outlive the
   /// tap (remove it first, or after the loop drains). Returns an id for
   /// remove_tap.
-  TapId attach_capture(cd::pcap::Capture& sink, CaptureOptions options);
-  TapId attach_capture(cd::pcap::Capture& sink);
+  TapId attach_capture(cd::pcap::Capture& sink, CaptureOptions options = {});
 
   /// Uninstalls a tap or capture by id. Safe mid-campaign — packets already
-  /// scheduled for delivery are simply no longer recorded — and safe from
-  /// inside a tap callback (removal is deferred until dispatch finishes).
-  /// Unknown ids are ignored.
+  /// scheduled for delivery are simply no longer recorded. Unknown ids are
+  /// ignored. Throws InvariantError when called from inside a tap.
   void remove_tap(TapId id);
 
  private:
   struct TapEntry {
     TapId id;
-    Tap fn;  // empty = tombstoned during dispatch
+    Tap fn;
   };
   struct CaptureEntry {
     TapId id;
-    cd::pcap::Capture* sink;  // null = tombstoned during dispatch
+    cd::pcap::Capture* sink;
     CaptureOptions options;
   };
 
@@ -276,14 +271,12 @@ class Network {
     }
   };
 
-  [[nodiscard]] bool capture_wants(const CaptureEntry& entry,
-                                   const cd::net::Packet& packet,
-                                   DropReason reason, Asn origin_asn) const;
+  [[nodiscard]] static bool capture_wants(const CaptureEntry& entry,
+                                          DropReason reason, Asn origin_asn);
   /// Serializes `packet` once and appends it to every capture that wants
   /// it. `reason` is kNone at delivery time, the drop reason otherwise.
   void record_capture(const cd::net::Packet& packet, DropReason reason,
                       Asn origin_asn);
-  void sweep_tombstones();
   /// Runs when the event loop reaches a (time, host) slot: hands the
   /// pending packets to the host in send order and recycles the vector.
   void drain_batch(SimTime at, Host* host);
@@ -298,8 +291,7 @@ class Network {
   TapId next_tap_id_ = 1;
   std::vector<TapEntry> taps_;
   std::vector<CaptureEntry> captures_;
-  int dispatch_depth_ = 0;
-  bool pending_removal_ = false;
+  bool dispatching_taps_ = false;
   TransportOptions transport_;
   /// Same-tick pending deliveries, one vector per (arrival time, host).
   using PendingMap =

@@ -7,7 +7,9 @@
 // schedule/run cycle on the bare loop. The DNS name layer holds the same
 // line: building a v4 probe name, stepping to its parent or a suffix,
 // encoding a one-question query into a pooled buffer, and writing a probe
-// query straight from its fields allocate nothing.
+// query straight from its fields allocate nothing. So does carrying a
+// per-message callback: a [this, ConnKey]-sized session reply is stored,
+// moved and invoked inside SmallFn's inline buffer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -144,17 +146,47 @@ TEST(AllocRegression, SmallFnStoresHotClosuresInline) {
     void* b;
     void operator()() const {}
   };
-  static_assert(sim::SmallFn::fits_inline<TwoPtrs>());
-  sim::SmallFn small(TwoPtrs{nullptr, nullptr});
+  static_assert(sim::EventLoop::Callback::fits_inline<TwoPtrs>());
+  sim::EventLoop::Callback small(TwoPtrs{nullptr, nullptr});
   EXPECT_TRUE(small.is_inline());
 
   struct Fat {
     unsigned char blob[64];
     void operator()() const {}
   };
-  static_assert(!sim::SmallFn::fits_inline<Fat>());
-  sim::SmallFn fat(Fat{});
+  static_assert(!sim::EventLoop::Callback::fits_inline<Fat>());
+  sim::EventLoop::Callback fat(Fat{});
   EXPECT_FALSE(fat.is_inline());
+
+  // The shape of Host's deferred session reply: [this, ConnKey] with
+  // ConnKey = {IpAddr peer, u16 peer_port, u16 local_port}, taking the
+  // response by value.
+  struct ConnKeyShape {
+    net::IpAddr peer;
+    std::uint16_t peer_port;
+    std::uint16_t local_port;
+  };
+  std::size_t replied = 0;
+  std::size_t* const self = &replied;
+  const ConnKeyShape key{net::IpAddr::v4(0x0A000001u), 40000, 53};
+  auto reply = [self, key](GatherBuf response) {
+    *self += response.size() + key.local_port;
+  };
+  static_assert(sizeof(reply) == 40);
+  static_assert(sim::Host::TcpSessionReply::fits_inline<decltype(reply)>());
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  {
+    sim::Host::TcpSessionReply held(reply);
+    EXPECT_TRUE(held.is_inline());
+    sim::Host::TcpSessionReply moved(std::move(held));
+    sim::Host::TcpSessionReply assigned;
+    assigned = std::move(moved);
+    assigned(GatherBuf{});
+    EXPECT_FALSE(held);
+    EXPECT_FALSE(moved);
+  }
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(replied, 53u);
 }
 
 // --- DNS name layer ----------------------------------------------------------

@@ -10,7 +10,6 @@
 
 #include <deque>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -228,7 +227,6 @@ struct AttackLab {
 
   std::deque<sim::Host> victim_hosts;
   std::vector<std::unique_ptr<RecursiveResolver>> victims;
-  std::map<IpAddr, RecursiveResolver*> by_addr;
 
   explicit AttackLab(const PoisonConfig& pc, std::uint64_t seed = 1) {
     topology.add_as(1);  // authoritative infrastructure
@@ -290,7 +288,6 @@ struct AttackLab {
         victim_hosts.back(), rc, hints, std::move(alloc),
         Rng(7'000 + static_cast<std::uint64_t>(idx)));
     if (txid) res->set_txid_source(std::move(txid));
-    by_addr[addr] = res.get();
     victims.push_back(std::move(res));
     injector->add_victim({addr, 2, software, sim::OsId::kEmbeddedCpe,
                           /*open=*/true});
@@ -299,10 +296,7 @@ struct AttackLab {
 
   void run_and_finalize() {
     loop.run(50'000'000);
-    injector->finalize([this](const IpAddr& a) -> RecursiveResolver* {
-      const auto it = by_addr.find(a);
-      return it == by_addr.end() ? nullptr : it->second;
-    });
+    injector->finalize(victims);
   }
 };
 

@@ -121,12 +121,7 @@ TEST(CrossCheckEnumeration, ShardsPartitionTheSerialPrefixWalk) {
   const auto spec = test_spec(42, 30);
   const auto plan = cd::ditl::build_campaign_plan(spec);
 
-  std::vector<PrefixTarget> serial;
-  cd::ditl::for_each_prefix24(*plan, 0, 1,
-                              [&serial](cd::sim::Asn asn, const Prefix& p) {
-                                serial.push_back({p, asn});
-                              });
-  ASSERT_EQ(serial.size(), cd::ditl::count_prefix24(*plan));
+  const std::vector<PrefixTarget> serial = cd::ditl::prefix24_targets(*plan);
   ASSERT_GT(serial.size(), 0u);
 
   std::map<IpAddr, cd::sim::Asn> serial_by_base;
@@ -147,16 +142,17 @@ TEST(CrossCheckEnumeration, ShardsPartitionTheSerialPrefixWalk) {
 
   const std::size_t n_shards = 4;
   std::map<IpAddr, cd::sim::Asn> union_by_base;
-  std::uint64_t count_sum = 0;
+  std::size_t count_sum = 0;
   for (std::size_t shard = 0; shard < n_shards; ++shard) {
-    count_sum += cd::ditl::count_prefix24(*plan, shard, n_shards);
-    cd::ditl::for_each_prefix24(
-        *plan, shard, n_shards,
-        [&](cd::sim::Asn asn, const Prefix& p) {
-          EXPECT_EQ(cd::scanner::shard_of(asn, n_shards), shard);
-          const bool inserted = union_by_base.emplace(p.base(), asn).second;
-          EXPECT_TRUE(inserted) << "/24 in two shards: " << p.to_string();
-        });
+    const std::vector<PrefixTarget> slice =
+        cd::ditl::prefix24_targets(*plan, shard, n_shards);
+    count_sum += slice.size();
+    for (const PrefixTarget& pt : slice) {
+      EXPECT_EQ(cd::scanner::shard_of(pt.asn, n_shards), shard);
+      const bool inserted =
+          union_by_base.emplace(pt.prefix.base(), pt.asn).second;
+      EXPECT_TRUE(inserted) << "/24 in two shards: " << pt.prefix.to_string();
+    }
   }
   EXPECT_EQ(count_sum, serial.size());
   EXPECT_EQ(union_by_base, serial_by_base);
@@ -429,11 +425,8 @@ TEST(MethodologyAgreement, VerdictsTrackTruthOverRandomizedWorlds) {
       if (asn) attributable.insert(*asn);
     }
 
-    std::vector<PrefixTarget> probed;
-    cd::ditl::for_each_prefix24(*plan, 0, 1,
-                                [&probed](cd::sim::Asn asn, const Prefix& p) {
-                                  probed.push_back({p, asn});
-                                });
+    const std::vector<PrefixTarget> probed =
+        cd::ditl::prefix24_targets(*plan);
     const cd::analysis::AgreementReport report =
         cd::analysis::methodology_agreement(results.records, world->targets,
                                             results.crosscheck_records,

@@ -14,13 +14,20 @@
 //     scheduling distances, far-future times near kSimTimeMax, schedule_in
 //     overflow saturation, cancel of a recycled id, run_until over a
 //     cancelled head.
-//  3. Whole campaigns: the quickstart battery must reproduce its golden
+//  3. SmallFn, the callable type every event and per-message callback is
+//     stored in: return values, by-reference and move-only arguments,
+//     move-only captures destroyed exactly once on the inline and heap
+//     paths, and a callable that destroys its own storage while running.
+//  4. Whole campaigns: the quickstart battery must reproduce its golden
 //     results_digest and capture_digest (tests/campaign_goldens.h) across
 //     seeds x shard counts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -29,6 +36,7 @@
 #include "campaign_goldens.h"
 #include "core/parallel.h"
 #include "reference_scheduler.h"
+#include "sim/callback.h"
 #include "sim/event_loop.h"
 #include "util/rng.h"
 
@@ -457,6 +465,115 @@ TYPED_TEST(EventCore, CancelOfRecycledIdIsInert) {
   loop.run();
   EXPECT_TRUE(ran);
   EXPECT_EQ(loop.executed(), 2u);
+}
+
+// --- SmallFn -------------------------------------------------------------------
+
+/// Ballast that pushes a capture list past SmallFn's inline buffer.
+using HeapPad = std::array<unsigned char, 64>;
+
+TEST(SmallFn, ReturnsValuesAndForwardsMoveOnlyArguments) {
+  sim::SmallFn<std::string(const std::string&, std::unique_ptr<int>)> join =
+      [](const std::string& prefix, std::unique_ptr<int> n) {
+        return prefix + std::to_string(*n);
+      };
+  EXPECT_TRUE(join.is_inline());
+  EXPECT_EQ(join("id=", std::make_unique<int>(7)), "id=7");
+
+  sim::SmallFn<std::size_t(std::size_t)> fat = [pad = HeapPad{}](
+                                                   std::size_t i) {
+    return pad.size() + i;
+  };
+  EXPECT_FALSE(fat.is_inline());
+  EXPECT_EQ(fat(3), 67u);
+}
+
+TEST(SmallFn, ByReferenceArgumentsAreTheCallersObjects) {
+  sim::SmallFn<void(std::vector<int>&, int&)> append =
+      [](std::vector<int>& out, int& next) { out.push_back(next++); };
+  std::vector<int> out;
+  int next = 5;
+  append(out, next);
+  append(out, next);
+  EXPECT_EQ(out, (std::vector<int>{5, 6}));
+  EXPECT_EQ(next, 7);
+}
+
+/// Counts destructions of the object a move-only capture owns.
+struct Tracked {
+  explicit Tracked(int* deaths) : deaths(deaths) {}
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { ++*deaths; }
+  int* deaths;
+};
+
+template <typename Pad>
+void expect_capture_dies_exactly_once(bool inline_storage) {
+  using Fn = sim::SmallFn<int(int)>;
+  const auto make = [](int* deaths) {
+    return [owned = std::make_unique<Tracked>(deaths), pad = Pad{}](int x) {
+      return x + static_cast<int>(sizeof(pad) > 0);
+    };
+  };
+  int deaths = 0;
+  {
+    Fn a = make(&deaths);
+    EXPECT_EQ(a.is_inline(), inline_storage);
+    EXPECT_EQ(a(1), 2);
+    Fn b(std::move(a));
+    EXPECT_FALSE(a);
+    EXPECT_EQ(b(1), 2);
+    EXPECT_EQ(deaths, 0) << "moving must relocate, not destroy";
+
+    Fn c = make(&deaths);
+    c = std::move(b);  // destroys c's own capture, takes b's
+    EXPECT_EQ(deaths, 1);
+    EXPECT_FALSE(b);
+    EXPECT_EQ(c(2), 3);
+    c.reset();
+    EXPECT_EQ(deaths, 2);
+    c.reset();  // empty: no-op
+    EXPECT_EQ(deaths, 2);
+
+    Fn d = make(&deaths);
+    EXPECT_EQ(deaths, 2);
+  }
+  EXPECT_EQ(deaths, 3) << "d's capture dies with d; moved-from a and b own "
+                          "nothing";
+}
+
+TEST(SmallFn, MoveOnlyCaptureDiesExactlyOnceInline) {
+  expect_capture_dies_exactly_once<std::array<unsigned char, 8>>(true);
+}
+
+TEST(SmallFn, MoveOnlyCaptureDiesExactlyOnceOnHeap) {
+  expect_capture_dies_exactly_once<HeapPad>(false);
+}
+
+template <typename Pad>
+void expect_callable_may_destroy_itself(bool inline_storage) {
+  // The shape of RecursiveResolver's upstream ports: the handler of a UDP
+  // port unbinds that port, destroying the SmallFn it is running from. The
+  // call must touch nothing of the SmallFn afterwards (ASan checks it).
+  std::map<int, sim::SmallFn<void(int)>> handlers;
+  int seen = 0;
+  handlers[1] = [&handlers, &seen, pad = Pad{}](int x) {
+    seen = x + static_cast<int>(sizeof(pad) > 0);
+    handlers.erase(1);
+  };
+  EXPECT_EQ(handlers.at(1).is_inline(), inline_storage);
+  handlers.at(1)(41);
+  EXPECT_EQ(seen, 42);
+  EXPECT_TRUE(handlers.empty());
+}
+
+TEST(SmallFn, CallableMayDestroyItsOwnStorageInline) {
+  expect_callable_may_destroy_itself<std::array<unsigned char, 8>>(true);
+}
+
+TEST(SmallFn, CallableMayDestroyItsOwnStorageOnHeap) {
+  expect_callable_may_destroy_itself<HeapPad>(false);
 }
 
 // --- whole campaigns -----------------------------------------------------------

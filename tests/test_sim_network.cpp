@@ -368,7 +368,7 @@ TEST(CaptureTap, DropsAppearOnlyWhenDropCaptureEnabled) {
   CaptureFixture f;
   pcap::Capture delivered_only, with_drops;
   f.network.attach_capture(delivered_only);
-  Network::CaptureOptions opts;
+  sim::CaptureOptions opts;
   opts.include_drops = true;
   f.network.attach_capture(with_drops, std::move(opts));
 
@@ -397,34 +397,14 @@ TEST(CaptureTap, DropsAppearOnlyWhenDropCaptureEnabled) {
   EXPECT_EQ(with_drops.records[3].bytes, delivered_only.records[0].bytes);
 }
 
-TEST(CaptureTap, PerHostFilterSelectsOneHostsTraffic) {
-  CaptureFixture f;
-  pcap::Capture capture;
-  const IpAddr host = IpAddr::must_parse("21.0.0.1");
-  Network::CaptureOptions opts;
-  opts.filter = [host](const Packet& pkt, DropReason, sim::Asn) {
-    return pkt.src == host || pkt.dst == host;
-  };
-  f.network.attach_capture(capture, std::move(opts));
-  f.send_batch(10);
-  f.loop.run();
-  ASSERT_EQ(capture.records.size(), 5u);  // only the odd-indexed sends
-  for (const auto& rec : capture.records) {
-    const Packet pkt = Packet::parse(rec.bytes);
-    EXPECT_EQ(pkt.dst, IpAddr::must_parse("21.0.0.1"));
-  }
-}
-
-TEST(CaptureTap, FilterSeesOriginAsn) {
+TEST(CaptureTap, OriginRecordsOnlyThatAsnsPackets) {
   Fixture f;
   Host host(f.network, 2, sim::os_profile(sim::OsId::kUbuntu1904),
             {IpAddr::must_parse("22.0.0.1")}, Rng(1));
   pcap::Capture capture;
-  Network::CaptureOptions opts;
-  opts.filter = [](const Packet&, DropReason, sim::Asn origin) {
-    return origin == 3;
-  };
-  f.network.attach_capture(capture, std::move(opts));
+  sim::CaptureOptions opts;
+  opts.origin = 3;
+  f.network.attach_capture(capture, opts);
   f.network.send(udp("23.0.0.5", "22.0.0.1"), 3);
   f.network.send(udp("21.0.0.5", "22.0.0.1"), 1);
   f.loop.run();
@@ -452,23 +432,16 @@ TEST(CaptureTap, RemovingTapMidCampaignIsSafe) {
   f.network.remove_tap(9999);
 }
 
-TEST(CaptureTap, RemovingTapFromInsideLegacyTapIsSafe) {
+TEST(CaptureTap, RemovingTapFromInsideTapThrows) {
   CaptureFixture f;
   pcap::Capture capture;
   const Network::TapId cap_id = f.network.attach_capture(capture);
-  // A legacy tap that rips out the capture (and itself) on the first packet
-  // it sees — dispatch must survive the mid-iteration removal.
-  Network::TapId self_id = 0;
-  self_id = f.network.add_tap(
-      [&](const Packet&, DropReason, sim::SimTime) {
-        f.network.remove_tap(cap_id);
-        f.network.remove_tap(self_id);
-      });
-  f.send_batch(4);
-  f.loop.run();
-  EXPECT_TRUE(capture.records.empty())
-      << "capture was removed at send time, before any delivery";
-  EXPECT_EQ(f.delivered_wire.size(), 4u);
+  // Taps are dispatched in place, so a tap may not change the tap list:
+  // removing a capture (or itself) from inside one is a caller bug.
+  f.network.add_tap([&](const Packet&, DropReason, sim::SimTime) {
+    f.network.remove_tap(cap_id);
+  });
+  EXPECT_THROW(f.send_batch(1), InvariantError);
 }
 
 TEST(CaptureTap, LegacyAddTapStillObservesSends) {

@@ -92,8 +92,9 @@ inline RunOptions parse_run_options(int argc, char** argv) {
   return opt;
 }
 
-/// The reference world (shard 0 of 1: target lists, geo and ground truth)
-/// plus the merged results of core::run_sharded_experiment over it.
+/// The reference world (shard 0 of 1: target lists, resolver ground truth,
+/// and the campaign plan that analysis reads AS-level truth from) plus the
+/// merged results of core::run_sharded_experiment over it.
 struct Run {
   std::unique_ptr<cd::ditl::World> world;
   cd::core::ExperimentResults results;
@@ -122,7 +123,7 @@ inline Run run_standard_experiment(const RunOptions& options = {}) {
 
   const auto t0 = std::chrono::steady_clock::now();
   Run run;
-  run.world = cd::ditl::generate_world(spec);
+  run.world = cd::ditl::generate_world(cd::ditl::build_campaign_plan(spec));
   const std::chrono::duration<double, std::milli> gen =
       std::chrono::steady_clock::now() - t0;
 

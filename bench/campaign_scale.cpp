@@ -146,7 +146,8 @@ int main(int argc, char** argv) {
 
   // --- phase 1: plan --------------------------------------------------------
   const auto plan_start = Clock::now();
-  const auto plan = cd::ditl::build_campaign_plan(spec);
+  const std::shared_ptr<const cd::ditl::CampaignPlan> plan =
+      cd::ditl::build_campaign_plan(spec);
   const double plan_ms = ms_since(plan_start);
   std::printf("# plan: %zu ASes in %.1fms (%zu KiB arena)\n", plan->size(),
               plan_ms, plan->bytes() / 1024);
@@ -230,8 +231,9 @@ int main(int argc, char** argv) {
         if (rec.vulnerable()) ++cc_vulnerable;
       }
       // The join needs the per-resolver target list, which the streamed
-      // campaign never materializes — build the world once for it.
-      const auto world = cd::ditl::generate_world(spec);
+      // campaign never materializes — build the world once for it, from
+      // the plan phase 1 already built.
+      const auto world = cd::ditl::generate_world(plan);
       agreement = cd::analysis::methodology_agreement(
           out.merged.records, world->targets, out.merged.crosscheck_records,
           probed);

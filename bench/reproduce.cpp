@@ -16,12 +16,12 @@
 //
 //   reproduce [--scale=X] [--seed=N] [--threads=N] [--shards=N] [--pcap=FILE]
 //
-// By default §5.2.2's "old capture" is the world's synthesized
-// passive_capture. With --pcap=FILE it is instead reconstructed from a wire
-// capture on disk (e.g. one exported by bench/pcap_export): every UDP packet
-// to port 53 contributes its source address and source port, exactly what a
-// root operator's tap yields after filtering to DNS — the export-replay loop
-// scripts/pcap_replay.sh exercises end to end. FILE is read before the
+// By default §5.2.2's "old capture" is the one synthesized from the campaign
+// plan (ditl::passive_capture). With --pcap=FILE it is instead reconstructed
+// from a wire capture on disk (e.g. one exported by bench/pcap_export): every
+// UDP packet to port 53 contributes its source address and source port,
+// exactly what a root operator's tap yields after filtering to DNS — the
+// export-replay loop scripts/pcap_replay.sh exercises end to end. FILE is read before the
 // campaign, so a bad path fails in milliseconds.
 #include <algorithm>
 #include <cstring>
@@ -33,6 +33,7 @@
 #include "analysis/passive.h"
 #include "analysis/port_range.h"
 #include "bench_common.h"
+#include "ditl/target_stream.h"
 #include "net/packet.h"
 #include "util/csv.h"
 #include "util/error.h"
@@ -125,19 +126,20 @@ void headline(const Run& run) {
   std::printf("%s\n", t.to_string().c_str());
 
   // Ground-truth validation: measured reachable-AS set vs. planted DSAV.
+  const ditl::CampaignPlan& plan = *run.world->plan;
   std::uint64_t truth_lacking = 0;
-  for (const auto& [asn, dsav] : run.world->truth_dsav) {
-    if (!dsav) ++truth_lacking;
+  for (std::size_t id = 0; id < plan.size(); ++id) {
+    if (!(plan.flags[id] & ditl::kAsDsav)) ++truth_lacking;
   }
   std::printf("ground truth: %s of %s edge ASes lack DSAV\n",
               with_commas(truth_lacking).c_str(),
-              with_commas(run.world->truth_dsav.size()).c_str());
+              with_commas(plan.size()).c_str());
 }
 
 void table1_countries(const Run& run) {
   std::printf("== table1_countries: paper Table 1 ==\n\n");
-  auto rows = analysis::dsav_by_country(run.results.records,
-                                        run.world->targets, run.world->geo);
+  auto rows = analysis::dsav_by_country(run.results.records, run.world->targets,
+                                        ditl::geo_db(*run.world->plan));
   std::sort(rows.begin(), rows.end(),
             [](const analysis::CountryRow& a, const analysis::CountryRow& b) {
               return a.ases_total > b.ases_total;
@@ -193,8 +195,8 @@ void table1_countries(const Run& run) {
 
 void table2_reachable_pct(const Run& run) {
   std::printf("== table2_reachable_pct: paper Table 2 ==\n\n");
-  auto rows = analysis::dsav_by_country(run.results.records,
-                                        run.world->targets, run.world->geo);
+  auto rows = analysis::dsav_by_country(run.results.records, run.world->targets,
+                                        ditl::geo_db(*run.world->plan));
   // Rank by reachable-IP percentage, requiring a minimal population so a
   // single lucky resolver cannot top the list.
   std::erase_if(rows, [](const analysis::CountryRow& r) {
@@ -520,13 +522,16 @@ analysis::PassiveCapture passive_from_pcap(const std::string& path) {
 
 /// §5.2.2: of the resolvers actively measured with a single fixed port, how
 /// many already looked that way in the 18-months-earlier capture (`replayed`
-/// when --pcap is given, else the world's synthesized one), how many
+/// when --pcap is given, else the plan's synthesized one), how many
 /// regressed from randomized ports, and how many cannot be compared?
 void passive_comparison(const Run& run,
                         const std::optional<analysis::PassiveCapture>& replayed) {
   std::printf("== passive_comparison: paper §5.2.2 ==\n\n");
+  const analysis::PassiveCapture synthesized =
+      replayed ? analysis::PassiveCapture{}
+               : ditl::passive_capture(*run.world->plan);
   const analysis::PassiveCapture& old_capture =
-      replayed ? *replayed : run.world->passive_capture;
+      replayed ? *replayed : synthesized;
 
   const auto cmp =
       analysis::compare_with_passive(run.results.records, old_capture);

@@ -9,6 +9,7 @@
 #include "analysis/classify.h"
 #include "analysis/report.h"
 #include "core/experiment.h"
+#include "ditl/target_stream.h"
 #include "ditl/world.h"
 #include "util/str.h"
 
@@ -20,7 +21,7 @@ int main() {
   //    target capture. small_world_spec() keeps this instant.
   ditl::WorldSpec spec = ditl::small_world_spec();
   spec.seed = 2026;
-  auto world = ditl::generate_world(spec);
+  auto world = ditl::generate_world(ditl::build_campaign_plan(spec));
   std::printf("world: %zu ASes, %zu resolvers, %zu scan targets\n",
               world->topology.as_count(), world->resolvers.size(),
               world->targets.size());
@@ -62,18 +63,20 @@ int main() {
       with_commas(oc.open).c_str(), with_commas(oc.closed).c_str());
 
   // 4. Against ground truth: the blind measurement vs. what was planted.
+  //    AS-level truth lives in the campaign plan the world was built from.
+  const ditl::CampaignPlan& plan = *world->plan;
   std::size_t truth_lacking = 0;
-  for (const auto& [asn, dsav] : world->truth_dsav) {
-    if (!dsav) ++truth_lacking;
+  for (std::size_t id = 0; id < plan.size(); ++id) {
+    if (!(plan.flags[id] & ditl::kAsDsav)) ++truth_lacking;
   }
   std::printf("  ground truth: %s of %s ASes actually lack DSAV\n",
               with_commas(truth_lacking).c_str(),
-              with_commas(world->truth_dsav.size()).c_str());
+              with_commas(plan.size()).c_str());
 
   // 5. Or let the library write the whole evaluation section for you:
   std::printf("\n%s", analysis::render_report(
-                          results.records, world->targets, world->geo,
-                          world->passive_capture, world->public_dns_addrs)
+                          results.records, world->targets, ditl::geo_db(plan),
+                          ditl::passive_capture(plan), world->public_dns_addrs)
                           .c_str());
   return 0;
 }

@@ -5,8 +5,10 @@
 # the streaming-TCP suite (label "tcp", whose golden campaign pins run
 # through the sharded runner), the persistent-transport
 # suite (label "transport", whose campaign differential does the same with
-# pipelined sessions) and the event-core suite (label "eventcore"),
-# AddressSanitizer over the fuzz + pcap + batched-delivery + tcp +
+# pipelined sessions), the event-core suite (label "eventcore") and the
+# cross-check and poisoning suites (labels "crosscheck" and "poison", whose
+# sharded campaigns run on worker threads that read one shared campaign
+# plan), AddressSanitizer over the fuzz + pcap + batched-delivery + tcp +
 # transport + campaign + crosscheck + poison + eventcore + resolver labels
 # (bit-flip/truncation fuzzing only proves "throws, never over-reads" when
 # the reads are instrumented, the TCP reassembly/segment/session paths
@@ -35,7 +37,7 @@ PREFIX="${1:-build-ci}"
 
 # The label regex each sanitizer lane runs; the audit below checks that
 # every ctest label appears in one of them or in UNSANITIZED_LABELS.
-TSAN_LABELS="parallel|tcp|transport|eventcore"
+TSAN_LABELS="parallel|tcp|transport|eventcore|crosscheck|poison"
 ASAN_LABELS="fuzz|pcap|batched|tcp|transport|campaign|crosscheck|poison|eventcore|resolver"
 UBSAN_LABELS="unit|pcap|batched|fuzz|tcp|transport|campaign|crosscheck|poison|cli|golden|alloc|example|micro"
 # Labels deliberately run only in the plain build, as "label: reason" lines.
@@ -53,14 +55,16 @@ echo "=== perfbench driver compiles against src/ ==="
 cmake -B "${PREFIX}-perfbench" -S perfbench >/dev/null
 cmake --build "${PREFIX}-perfbench" -j
 
-echo "=== TSan build + parallel/tcp/transport/eventcore-label ctest ==="
+echo "=== TSan build + parallel/tcp/transport/eventcore/crosscheck/poison-label ctest ==="
 # The eventcore label covers the sharded golden-digest campaigns: each
 # worker thread drives its own event loop, so the node pools and heaps
 # must be provably unshared under TSan. The transport label runs
-# its persistent-session campaigns through the same threaded runner.
+# its persistent-session campaigns through the same threaded runner, and
+# the crosscheck and poison labels run theirs on 2 threads: every shard
+# world reads the run's one campaign plan, which must stay read-only.
 cmake -B "${PREFIX}-tsan" -S . -DCD_SANITIZE=thread >/dev/null
 cmake --build "${PREFIX}-tsan" -j --target test_core_parallel test_sim_tcp \
-  test_sim_event_core test_transport
+  test_sim_event_core test_transport test_crosscheck test_attack_poisoning
 ctest --test-dir "${PREFIX}-tsan" -L "${TSAN_LABELS}" \
   --output-on-failure
 

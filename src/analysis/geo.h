@@ -10,7 +10,7 @@
 
 namespace cd::analysis {
 
-/// Longest-prefix-match country database. The world generator populates it;
+/// Longest-prefix-match country database. ditl::geo_db fills it from the plan;
 /// the country tables (paper Tables 1-2) consume it.
 class GeoDb {
  public:

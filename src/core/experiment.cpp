@@ -2,7 +2,6 @@
 
 #include <type_traits>
 
-#include "ditl/plan.h"
 #include "sim/os_model.h"
 #include "util/error.h"
 
@@ -20,7 +19,8 @@ Experiment::Experiment(cd::ditl::World& world, ExperimentConfig config)
   CD_ENSURE(!world_.experiment_auths.empty(),
             "Experiment: world has no experiment auth servers");
 
-  cd::Rng rng(world_.spec.seed ^ 0xE9C0DE5EEDULL);
+  const cd::ditl::CampaignPlan& plan = *world_.plan;
+  cd::Rng rng(plan.spec.seed ^ 0xE9C0DE5EEDULL);
 
   QnameCodec codec(world_.base_zone, world_.keyword);
   selector_ = std::make_unique<SourceSelector>(
@@ -46,8 +46,12 @@ Experiment::Experiment(cd::ditl::World& world, ExperimentConfig config)
                                                  config_.followup);
   }
   if (config_.analyst && !world_.public_dns_addrs.empty()) {
+    std::set<cd::sim::Asn> ids_asns;
+    for (std::size_t id = 0; id < plan.size(); ++id) {
+      if (plan.flags[id] & cd::ditl::kAsIds) ids_asns.insert(plan.asn_of(id));
+    }
     analyst_ = std::make_unique<cd::scanner::AnalystSimulator>(
-        *world_.network, world_.ids_asns, world_.public_dns_addrs.front(),
+        *world_.network, std::move(ids_asns), world_.public_dns_addrs.front(),
         *config_.analyst, rng.split("analyst"));
   }
   if (config_.poison) build_attack_plane();
@@ -71,6 +75,7 @@ constexpr std::uint64_t kMaxEventsPerShard = 400'000'000;
 void Experiment::build_attack_plane() {
   const cd::attack::PoisonConfig& pc = *config_.poison;
   CD_ENSURE(pc.sites >= 1, "Experiment: poison plane needs at least one site");
+  const std::uint64_t seed = world_.plan->spec.seed;
 
   const auto service = cd::net::IpAddr::must_parse("11.3.0.53");
   const auto attacker = cd::net::IpAddr::must_parse("11.66.6.6");
@@ -105,7 +110,7 @@ void Experiment::build_attack_plane() {
   // attacker plays the identical per-victim schedule.
   injector_ = std::make_unique<cd::attack::SpoofInjector>(
       *world_.network, kPoisonAttackerAsn, attacker, service, poisoned,
-      codec, pc, world_.spec.seed ^ 0xA17AC4DEED5ULL);
+      codec, pc, seed ^ 0xA17AC4DEED5ULL);
 
   // Anycast sites: one service address, one host per site AS. None of the
   // attack ASes announce prefixes — the service is reachable only through
@@ -117,7 +122,7 @@ void Experiment::build_attack_plane() {
     world_.topology.add_as(asn, cd::sim::FilterPolicy{});
     cd::sim::Host& host = attack_hosts_.emplace_back(
         *world_.network, asn, site_os, std::vector<cd::net::IpAddr>{service},
-        cd::Rng::substream(world_.spec.seed ^ 0xA77AC5175ULL,
+        cd::Rng::substream(seed ^ 0xA77AC5175ULL,
                            static_cast<std::uint64_t>(i)),
         "poison-site-" + std::to_string(i));
     world_.network->add_anycast_site(service, &host);
@@ -144,7 +149,7 @@ void Experiment::build_attack_plane() {
         res->set_txid_source(
             std::make_unique<cd::resolver::SequentialTxidSource>(
                 static_cast<std::uint16_t>(
-                    cd::Rng::substream(world_.spec.seed ^ 0x5E97A1DULL,
+                    cd::Rng::substream(seed ^ 0x5E97A1DULL,
                                        cd::net::IpAddrHash{}(addr))
                         .u64())));
       }
@@ -226,9 +231,8 @@ const ExperimentResults& Experiment::run() {
     // The cross-check plane enumerates its /24 universe from the campaign
     // plan over the world's shard scope, so a shard world schedules exactly
     // its slice of the serial campaign's prefixes.
-    const auto plan = cd::ditl::build_campaign_plan(world_.spec);
     crosscheck_prober_->schedule_campaign(cd::ditl::prefix24_targets(
-        *plan, world_.shard_index, world_.num_shards));
+        *world_.plan, world_.shard_index, world_.num_shards));
   }
   if (injector_) {
     // Victims come from the same target list the prober uses: v4,

@@ -3,7 +3,8 @@
 //
 // This is the library's primary entry point:
 //
-//   auto world = cd::ditl::generate_world(cd::ditl::bench_world_spec());
+//   auto world = cd::ditl::generate_world(
+//       cd::ditl::build_campaign_plan(cd::ditl::bench_world_spec()));
 //   cd::core::Experiment experiment(*world, {});
 //   const cd::core::ExperimentResults& results = experiment.run();
 //   auto summary = cd::analysis::summarize_dsav(results.records,
@@ -100,8 +101,8 @@ struct ExperimentConfig {
 
   // --- sharding (core/parallel.h) -------------------------------------------
   /// Number of AS-partitioned shards the sharded runner splits the campaign
-  /// into. Each shard streams its own world slice
-  /// (ditl::generate_world(spec, shard, num_shards): O(shard) memory) and
+  /// into. Each shard streams its own world slice of the run's one plan
+  /// (ditl::generate_world(plan, shard, num_shards): O(shard) memory) and
   /// runs its own event loop, prober and collector; results merge in shard
   /// order. The merged campaign evidence is identical for any shard count
   /// (see results_digest in core/parallel.h). An Experiment itself probes

@@ -61,15 +61,16 @@ struct ShardOutcome {
   std::exception_ptr error;
 };
 
-ShardOutcome run_one_shard(const cd::ditl::WorldSpec& spec,
-                           const ExperimentConfig& config, std::size_t shard) {
+ShardOutcome run_one_shard(
+    const std::shared_ptr<const cd::ditl::CampaignPlan>& plan,
+    const ExperimentConfig& config, std::size_t shard) {
   ShardOutcome out;
   out.timing.shard = shard;
   try {
     const auto gen_start = Clock::now();
     // Only this shard's slice of the world, built from the target stream:
     // O(shard) memory, and its target list is exactly the shard's targets.
-    auto world = cd::ditl::generate_world(spec, shard, config.num_shards);
+    auto world = cd::ditl::generate_world(plan, shard, config.num_shards);
     out.timing.gen_ms = ms_since(gen_start);
     out.timing.targets = world->targets.size();
 
@@ -115,11 +116,15 @@ ShardedResults run_sharded_experiment(const cd::ditl::WorldSpec& spec,
   }
 
   const auto wall_start = Clock::now();
+  // One immutable plan for the whole run: every shard world reads it (worker
+  // threads included) and none copies it.
+  const std::shared_ptr<const cd::ditl::CampaignPlan> plan =
+      cd::ditl::build_campaign_plan(spec);
   std::vector<ShardOutcome> outcomes(n_shards);
 
   if (n_threads == 1) {
     for (std::size_t shard = 0; shard < n_shards; ++shard) {
-      outcomes[shard] = run_one_shard(spec, shard_config, shard);
+      outcomes[shard] = run_one_shard(plan, shard_config, shard);
     }
   } else {
     // Work pickup by atomic counter: threads claim the next unstarted
@@ -130,7 +135,7 @@ ShardedResults run_sharded_experiment(const cd::ditl::WorldSpec& spec,
         const std::size_t shard =
             next_shard.fetch_add(1, std::memory_order_relaxed);
         if (shard >= n_shards) return;
-        outcomes[shard] = run_one_shard(spec, shard_config, shard);
+        outcomes[shard] = run_one_shard(plan, shard_config, shard);
       }
     };
     std::vector<std::thread> pool;

@@ -5,9 +5,10 @@
 // independently generated world slice — shared infrastructure plus only its
 // own ASes' fleets, streamed from the campaign plan — with its own event
 // loop, prober, collector and follow-up engine, on a small std::thread
-// pool. World generation is deterministic and cheap relative to the
-// campaign, so duplicating the shared infrastructure per shard buys full
-// isolation: no shared mutable state, no locks on the hot path.
+// pool. The plan is built once per run and every shard reads the same
+// immutable copy. World generation is deterministic and cheap relative to
+// the campaign, so duplicating the shared infrastructure per shard buys
+// full isolation: no shared mutable state, no locks on the hot path.
 //
 // Determinism contract: for a fixed spec and config, the merged results
 // are identical for ANY (num_shards, num_threads) combination — shards
@@ -55,8 +56,9 @@ struct ShardedResults {
 
 /// Runs the campaign described by (spec, config) across
 /// `config.num_shards` shards on `config.num_threads` worker threads and
-/// merges the per-shard results in shard order. Each shard runs on its own
-/// streamed world slice (ditl::generate_world(spec, shard, num_shards)).
+/// merges the per-shard results in shard order. The campaign plan is built
+/// once; each shard runs on its own streamed world slice of it
+/// (ditl::generate_world(plan, shard, num_shards)).
 /// Exceptions thrown inside a shard are rethrown on the calling thread after
 /// the pool joins.
 [[nodiscard]] ShardedResults run_sharded_experiment(

@@ -178,4 +178,19 @@ std::vector<cd::scanner::PrefixTarget> prefix24_targets(
   return out;
 }
 
+cd::analysis::GeoDb geo_db(const CampaignPlan& plan) {
+  const auto& countries = plan.spec.countries;
+  cd::analysis::GeoDb geo;
+  for (std::size_t id = 0; id < plan.size(); ++id) {
+    geo.add(plan.v4a[id], countries[plan.country[id]].country);
+    if (plan.flags[id] & kAsHasSecondV4) {
+      geo.add(plan.v4b[id], countries[plan.country2[id]].country);
+    }
+    if (plan.flags[id] & kAsHasV6) {
+      geo.add(plan.v6[id], countries[plan.country[id]].country);
+    }
+  }
+  return geo;
+}
+
 }  // namespace cd::ditl

@@ -26,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "analysis/geo.h"
 #include "ditl/world_spec.h"
 #include "net/ip.h"
 #include "scanner/crosscheck.h"
@@ -123,5 +124,11 @@ class CampaignPlan {
 [[nodiscard]] std::vector<cd::scanner::PrefixTarget> prefix24_targets(
     const CampaignPlan& plan, std::size_t shard = 0,
     std::size_t num_shards = 1);
+
+/// The analysis-side geolocation database (the paper's MaxMind stand-in):
+/// every edge AS's announced prefixes mapped to its planned country (the
+/// second v4 prefix to country2). Shared infrastructure is not listed — no
+/// probe target lies inside it.
+[[nodiscard]] cd::analysis::GeoDb geo_db(const CampaignPlan& plan);
 
 }  // namespace cd::ditl

@@ -417,4 +417,21 @@ StreamCounts count_stream(const CampaignPlan& plan, std::size_t shard,
   return counts;
 }
 
+cd::analysis::PassiveCapture passive_capture(const CampaignPlan& plan) {
+  cd::analysis::PassiveCapture capture;
+  TargetStream stream(plan);
+  while (const AsBatch* batch = stream.next()) {
+    for (const ResolverSpec& r : *batch->resolvers) {
+      for (std::size_t a = 0; a < r.n_addrs; ++a) {
+        if (r.n_old_ports[a] == 0) continue;
+        capture.emplace(r.addrs[a], std::vector<std::uint16_t>(
+                                        r.old_ports[a].begin(),
+                                        r.old_ports[a].begin() +
+                                            r.n_old_ports[a]));
+      }
+    }
+  }
+  return capture;
+}
+
 }  // namespace cd::ditl

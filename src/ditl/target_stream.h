@@ -21,6 +21,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "analysis/passive.h"
 #include "ditl/plan.h"
 #include "net/ip.h"
 #include "resolver/recursive.h"
@@ -136,5 +137,12 @@ struct StreamCounts {
 [[nodiscard]] StreamCounts count_stream(const CampaignPlan& plan,
                                         std::size_t shard = 0,
                                         std::size_t num_shards = 1);
+
+/// The synthetic 18-months-earlier capture (the paper's 2018 DITL stand-in,
+/// §5.2.2): every resolver address of the whole plan that has a historical
+/// port history, mapped to those ports. One stream pass; nothing is
+/// materialized.
+[[nodiscard]] cd::analysis::PassiveCapture passive_capture(
+    const CampaignPlan& plan);
 
 }  // namespace cd::ditl

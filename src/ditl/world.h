@@ -1,18 +1,17 @@
 // The generated world: a simulated Internet, or one shard's slice of it,
-// ready for scanning.
+// ready for scanning. AS-level truth (DSAV, IDS, countries, passive port
+// history) is not copied into the world: it stays in the shared
+// CampaignPlan, and analysis reads it there (ditl::geo_db,
+// ditl::passive_capture, CampaignPlan::flags).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
-#include "analysis/geo.h"
-#include "analysis/passive.h"
 #include "dns/zone.h"
-#include "ditl/world_spec.h"
+#include "ditl/plan.h"
 #include "resolver/auth.h"
 #include "resolver/recursive.h"
 #include "scanner/prober.h"
@@ -122,12 +121,15 @@ class ResolverTruthTable {
 /// sensitive: hosts detach from the network in their destructors, so the
 /// network (and loop/topology) must be declared first.
 struct World {
-  WorldSpec spec;
+  /// The campaign plan this world was generated from, shared by every shard
+  /// world of a run. Its spec is the world's spec; its per-AS columns are
+  /// the AS-level ground truth.
+  std::shared_ptr<const CampaignPlan> plan;
   /// Shard scope this world was generated for: (0, 1) is the whole world;
-  /// anything else materializes only the edge ASes of that shard (topology,
-  /// geo and the per-AS truth tables always cover every AS). The only
-  /// record of the scope: core::Experiment reads it for planes that
-  /// enumerate from the campaign plan rather than the target list.
+  /// anything else materializes only the edge ASes of that shard (the
+  /// topology always covers every AS). The only record of the scope:
+  /// core::Experiment reads it for planes that enumerate from the campaign
+  /// plan rather than the target list.
   std::size_t shard_index = 0;
   std::size_t num_shards = 1;
 
@@ -145,7 +147,6 @@ struct World {
   std::vector<std::unique_ptr<cd::resolver::RecursiveResolver>> resolvers;
 
   cd::resolver::RootHints hints;
-  cd::analysis::GeoDb geo;
 
   cd::sim::Host* vantage = nullptr;
   /// Authoritative servers receiving experiment queries (base + subzones);
@@ -161,15 +162,9 @@ struct World {
   /// shard world's list covers only its own ASes.
   std::vector<cd::scanner::TargetInfo> targets;
   std::vector<cd::net::IpAddr> hitlist_v6;
-  /// Synthetic 18-months-earlier capture: per-resolver historical source
-  /// ports (the paper's 2018 DITL stand-in, §5.2.2).
-  cd::analysis::PassiveCapture passive_capture;
-
-  std::set<cd::sim::Asn> ids_asns;
   std::vector<cd::net::IpAddr> public_dns_addrs;
 
-  // Ground truth for validation.
-  std::unordered_map<cd::sim::Asn, bool> truth_dsav;  // true = deploys DSAV
+  /// Ground truth for validation: one row per materialized resolver address.
   ResolverTruthTable truth_resolvers;
 
   World() = default;
@@ -177,17 +172,18 @@ struct World {
   World& operator=(const World&) = delete;
 };
 
-/// Builds one shard's world from the target stream: shared infrastructure
-/// (roots, public DNS, vantage) plus only the edge ASes with
+/// Builds one shard's world from `plan` and its target stream: shared
+/// infrastructure (roots, public DNS, vantage) plus only the edge ASes with
 /// shard_of(asn, num_shards) == shard materialize hosts, resolvers, truth
-/// rows and targets. Topology, geo, truth_dsav and ids_asns always cover
-/// every AS (routing, geolocation and the analyst need the full map; it is
-/// O(n_asns), not O(targets)). The default (shard=0, num_shards=1) is the
-/// whole world. Deterministic: equal specs (including seed) produce
-/// identical worlds, and a shard's campaign behaves exactly as it would
-/// against the whole world — no packet ever addresses an out-of-shard edge
-/// host — which tests/test_campaign_stream.cpp pins.
+/// rows and targets. The topology always covers every AS (routing needs the
+/// full map; it is O(n_asns), not O(targets)). The default (shard=0,
+/// num_shards=1) is the whole world; a caller holding only a spec passes
+/// build_campaign_plan(spec). Deterministic: equal plans produce identical
+/// worlds, and a shard's campaign behaves exactly as it would against the
+/// whole world — no packet ever addresses an out-of-shard edge host — which
+/// tests/test_campaign_stream.cpp pins.
 [[nodiscard]] std::unique_ptr<World> generate_world(
-    const WorldSpec& spec, std::size_t shard = 0, std::size_t num_shards = 1);
+    std::shared_ptr<const CampaignPlan> plan, std::size_t shard = 0,
+    std::size_t num_shards = 1);
 
 }  // namespace cd::ditl

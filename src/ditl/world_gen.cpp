@@ -59,14 +59,15 @@ constexpr PublicDnsSpec kPublicDns[kNumPublicDns] = {
 /// make any subset reproducible (see ditl/target_stream.h).
 class WorldBuilder {
  public:
-  WorldBuilder(const WorldSpec& spec, std::size_t shard,
+  WorldBuilder(std::shared_ptr<const CampaignPlan> plan, std::size_t shard,
                std::size_t num_shards)
-      : spec_(spec),
+      : plan_(*plan),
+        spec_(plan->spec),
         shard_(shard),
         num_shards_(num_shards),
-        rng_(spec.seed),
+        rng_(spec_.seed),
         w_(std::make_unique<World>()) {
-    w_->spec = spec_;
+    w_->plan = std::move(plan);
     w_->shard_index = shard;
     w_->num_shards = num_shards;
   }
@@ -80,7 +81,6 @@ class WorldBuilder {
     build_public_dns();
     build_vantage();
 
-    plan_ = build_campaign_plan(spec_);
     register_edge_ases();
     build_edge_fleets();
     w_->truth_resolvers.freeze();
@@ -133,8 +133,6 @@ class WorldBuilder {
     (void)as_info;
     w_->topology.announce(kInfraAsn, Prefix::must_parse("199.7.0.0/16"));
     w_->topology.announce(kInfraAsn, Prefix::must_parse("2620:4f::/32"));
-    w_->geo.add(Prefix::must_parse("199.7.0.0/16"), "United States");
-    w_->geo.add(Prefix::must_parse("2620:4f::/32"), "United States");
 
     const OsProfile& infra_os = cd::sim::os_profile(OsId::kUbuntu1904);
     const IpAddr root_a4 = IpAddr::must_parse("199.7.0.1");
@@ -244,8 +242,6 @@ class WorldBuilder {
                                             .drop_inbound_martians = true});
       w_->topology.announce(asn, Prefix::must_parse(svc.v4_prefix));
       w_->topology.announce(asn, Prefix::must_parse(svc.v6_prefix));
-      w_->geo.add(Prefix::must_parse(svc.v4_prefix), "United States");
-      w_->geo.add(Prefix::must_parse(svc.v6_prefix), "United States");
 
       const IpAddr v4 = IpAddr::must_parse(svc.v4);
       const IpAddr v6 = IpAddr::must_parse(svc.v6);
@@ -268,8 +264,6 @@ class WorldBuilder {
     w_->topology.add_as(kVantageAsn, FilterPolicy{});
     w_->topology.announce(kVantageAsn, Prefix::must_parse("203.98.0.0/16"));
     w_->topology.announce(kVantageAsn, Prefix::must_parse("2620:5f::/32"));
-    w_->geo.add(Prefix::must_parse("203.98.0.0/16"), "United States");
-    w_->geo.add(Prefix::must_parse("2620:5f::/32"), "United States");
     w_->vantage =
         &add_host(kVantageAsn, cd::sim::os_profile(OsId::kUbuntu1904),
                   {IpAddr::must_parse("203.98.0.10"),
@@ -279,38 +273,25 @@ class WorldBuilder {
 
   // --- edge ASes from the campaign plan --------------------------------------
 
-  /// Registers every edge AS's routing, policy, geo and AS-level truth —
-  /// O(n_asns) — regardless of shard scope: routing tables, the source
-  /// selector and the analyst need the full map even when only one shard's
-  /// hosts materialize.
+  /// Registers every edge AS's routing and border policy — O(n_asns) —
+  /// regardless of shard scope: routing tables and the source selector need
+  /// the full map even when only one shard's hosts materialize.
   void register_edge_ases() {
-    for (std::size_t id = 0; id < plan_->size(); ++id) {
-      const Asn asn = plan_->asn_of(id);
-      const FilterPolicy policy = plan_->policy_of(id);
-      w_->topology.add_as(asn, policy);
-      w_->truth_dsav[asn] = policy.dsav;
-      if (plan_->flags[id] & kAsIds) w_->ids_asns.insert(asn);
-
-      w_->topology.announce(asn, plan_->v4a[id]);
-      w_->geo.add(plan_->v4a[id],
-                  spec_.countries[plan_->country[id]].country);
-      if (plan_->flags[id] & kAsHasSecondV4) {
-        w_->topology.announce(asn, plan_->v4b[id]);
-        w_->geo.add(plan_->v4b[id],
-                    spec_.countries[plan_->country2[id]].country);
+    for (std::size_t id = 0; id < plan_.size(); ++id) {
+      const Asn asn = plan_.asn_of(id);
+      w_->topology.add_as(asn, plan_.policy_of(id));
+      w_->topology.announce(asn, plan_.v4a[id]);
+      if (plan_.flags[id] & kAsHasSecondV4) {
+        w_->topology.announce(asn, plan_.v4b[id]);
       }
-      if (plan_->flags[id] & kAsHasV6) {
-        w_->topology.announce(asn, plan_->v6[id]);
-        w_->geo.add(plan_->v6[id],
-                    spec_.countries[plan_->country[id]].country);
-      }
+      if (plan_.flags[id] & kAsHasV6) w_->topology.announce(asn, plan_.v6[id]);
     }
   }
 
   /// Streams the in-scope ASes and materializes their resolver fleets,
-  /// ground truth, DITL entries, hitlist and passive history.
+  /// ground truth, DITL entries and hitlist.
   void build_edge_fleets() {
-    TargetStream stream(*plan_, shard_, num_shards_);
+    TargetStream stream(plan_, shard_, num_shards_);
     while (const AsBatch* batch = stream.next()) {
       const Asn asn = batch->asn;
       std::optional<IpAddr> as_infra;  // resolver 0's v4 address
@@ -334,10 +315,10 @@ class WorldBuilder {
     if (!r.open) {
       switch (r.acl_kind) {
         case AclKind::kAsWide:
-          for (std::size_t p = 0; p < plan_->v4_count(id); ++p) {
-            config.acl.push_back(plan_->v4_prefix(id, p));
+          for (std::size_t p = 0; p < plan_.v4_count(id); ++p) {
+            config.acl.push_back(plan_.v4_prefix(id, p));
           }
-          if (plan_->flags[id] & kAsHasV6) config.acl.push_back(plan_->v6[id]);
+          if (plan_.flags[id] & kAsHasV6) config.acl.push_back(plan_.v6[id]);
           break;
         case AclKind::kSubnetOnly:
           config.acl.emplace_back(addrs[0], 24);
@@ -393,21 +374,15 @@ class WorldBuilder {
       w_->truth_resolvers.insert(addr, truth);
       if (r.in_capture[a]) ditl_raw_.push_back(addr);
       if (r.in_hitlist[a]) w_->hitlist_v6.push_back(addr);
-      if (r.n_old_ports[a] > 0) {
-        w_->passive_capture.emplace(
-            addr, std::vector<std::uint16_t>(
-                      r.old_ports[a].begin(),
-                      r.old_ports[a].begin() + r.n_old_ports[a]));
-      }
     }
   }
 
-  const WorldSpec spec_;
+  const CampaignPlan& plan_;  // owned by w_->plan
+  const WorldSpec& spec_;
   std::size_t shard_;
   std::size_t num_shards_;
   cd::Rng rng_;
   std::unique_ptr<World> w_;
-  std::unique_ptr<CampaignPlan> plan_;
   std::map<OsId, const OsProfile*> hidden_os_;
   /// Raw DITL-style capture of this slice: resolver sources plus stale
   /// noise. filter_ditl turns it into the world's target list.
@@ -492,11 +467,13 @@ WorldSpec bench_world_spec() {
   return spec;
 }
 
-std::unique_ptr<World> generate_world(const WorldSpec& spec, std::size_t shard,
+std::unique_ptr<World> generate_world(std::shared_ptr<const CampaignPlan> plan,
+                                      std::size_t shard,
                                       std::size_t num_shards) {
+  CD_ENSURE(plan != nullptr, "generate_world: null plan");
   CD_ENSURE(num_shards > 0 && shard < num_shards,
             "generate_world: bad shard spec");
-  return WorldBuilder(spec, shard, num_shards).build();
+  return WorldBuilder(std::move(plan), shard, num_shards).build();
 }
 
 }  // namespace cd::ditl

@@ -29,6 +29,23 @@ std::uint64_t pending_key(std::uint16_t port, std::uint16_t txid) {
   return (static_cast<std::uint64_t>(port) << 16) | txid;
 }
 
+/// The resolve continuation that answers a client query. It keeps only what
+/// the reply echoes of the query — the id, the rd bit and the questions, as
+/// dns::make_response builds them — not a copy of the whole message, and
+/// hands the finished reply to `send`.
+template <typename Send>
+RecursiveResolver::ResolveCallback reply_to(const DnsMessage& query,
+                                            Send send) {
+  return [resp = cd::dns::make_response(query, Rcode::kNoError),
+          send = std::move(send)](
+             Rcode rcode, const std::vector<DnsRr>& records) mutable {
+    resp.header.rcode = rcode;
+    resp.header.ra = true;
+    resp.answers = records;
+    send(resp);
+  };
+}
+
 }  // namespace
 
 RecursiveResolver::RecursiveResolver(cd::sim::Host& host,
@@ -74,15 +91,11 @@ void RecursiveResolver::handle_tcp_client(
     reply(tcp_frame_pooled(cd::dns::make_response(query, Rcode::kRefused)));
     return;
   }
-  const DnsMessage query_copy = query;
   resolve(query.qname(), query.questions.front().qtype,
-          [this, query_copy, reply = std::move(reply)](
-              Rcode rcode, const std::vector<DnsRr>& records) mutable {
-            DnsMessage resp = cd::dns::make_response(query_copy, rcode);
-            resp.header.ra = true;
-            resp.answers = records;
+          reply_to(query, [reply = std::move(reply)](
+                              const DnsMessage& resp) mutable {
             reply(tcp_frame_pooled(resp));
-          });
+          }));
 }
 
 bool RecursiveResolver::acl_allows(const IpAddr& client) const {
@@ -137,20 +150,13 @@ void RecursiveResolver::handle_client_query(const Packet& packet,
     return;
   }
 
-  const IpAddr client = packet.src;
-  const std::uint16_t client_port = packet.src_port;
-  const IpAddr server_addr = packet.dst;
-  const DnsMessage query_copy = query;
-
   resolve(query.qname(), query.questions.front().qtype,
-          [this, client, client_port, server_addr, query_copy](
-              Rcode rcode, const std::vector<DnsRr>& records) {
-            DnsMessage resp = cd::dns::make_response(query_copy, rcode);
-            resp.header.ra = true;
-            resp.answers = records;
+          reply_to(query, [this, client = packet.src,
+                           client_port = packet.src_port,
+                           server_addr = packet.dst](const DnsMessage& resp) {
             host_.send_udp(server_addr, 53, client, client_port,
                            cd::dns::encode_pooled(resp));
-          });
+          }));
 }
 
 void RecursiveResolver::resolve(const DnsName& qname, RrType qtype,

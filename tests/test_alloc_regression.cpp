@@ -9,7 +9,9 @@
 // encoding a one-question query into a pooled buffer, and writing a probe
 // query straight from its fields allocate nothing. So does carrying a
 // per-message callback: a [this, ConnKey]-sized session reply is stored,
-// moved and invoked inside SmallFn's inline buffer.
+// moved and invoked inside SmallFn's inline buffer. A recursive resolver
+// answering a client from its cache is not zero-alloc (decode, continuation,
+// answer copy); its count is pinned so it cannot creep back up.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +21,11 @@
 #include <vector>
 
 #include "dns/message.h"
+#include "dns/zone.h"
 #include "net/packet.h"
+#include "resolver/auth.h"
+#include "resolver/port_alloc.h"
+#include "resolver/recursive.h"
 #include "scanner/qname.h"
 #include "sim/event_loop.h"
 #include "sim/host.h"
@@ -268,6 +274,85 @@ TEST(AllocRegression, ProbeQueryEncodeIsZeroAlloc) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(bytes, 0u);
+}
+
+// --- resolver client path ----------------------------------------------------
+
+/// A client, an open recursive resolver and the authoritative server its
+/// only root hint points at, which holds www.test directly.
+struct CacheHitFixture {
+  sim::EventLoop loop;
+  sim::Topology topo;
+  sim::Network network{topo, loop, Rng(7)};
+  const net::IpAddr auth_addr = net::IpAddr::must_parse("21.0.0.1");
+  const net::IpAddr res_addr = net::IpAddr::must_parse("22.0.0.1");
+  const net::IpAddr client_addr = net::IpAddr::must_parse("23.0.0.1");
+  std::optional<sim::Host> auth_host;
+  std::optional<sim::Host> res_host;
+  std::optional<sim::Host> client;
+  std::optional<resolver::AuthServer> auth;
+  std::optional<resolver::RecursiveResolver> res;
+  dns::DnsMessage request = dns::make_query(
+      0, dns::DnsName::must_parse("www.test"), dns::RrType::kA);
+  std::uint64_t replies = 0;
+
+  CacheHitFixture() {
+    const auto& os = sim::os_profile(sim::OsId::kUbuntu1904);
+    for (sim::Asn asn = 1; asn <= 3; ++asn) {
+      topo.add_as(asn);
+      topo.announce(asn, net::Prefix(net::IpAddr::v4((20u + asn) << 24), 16));
+    }
+    auth_host.emplace(network, 1, os, std::vector<net::IpAddr>{auth_addr},
+                      Rng(1));
+    res_host.emplace(network, 2, os, std::vector<net::IpAddr>{res_addr},
+                     Rng(2));
+    client.emplace(network, 3, os, std::vector<net::IpAddr>{client_addr},
+                   Rng(3));
+
+    dns::SoaRdata soa;
+    soa.mname = dns::DnsName::must_parse("ns.root");
+    soa.rname = dns::DnsName::must_parse("admin.root");
+    auto zone = std::make_shared<dns::Zone>(dns::DnsName(), soa);
+    zone->add(dns::make_a(dns::DnsName::must_parse("www.test"),
+                          net::IpAddr::must_parse("21.0.0.80"), 86400));
+    auth.emplace(*auth_host, resolver::AuthConfig{});
+    auth->add_zone(zone);
+
+    resolver::ResolverConfig config;
+    config.open = true;
+    res.emplace(*res_host, config, resolver::RootHints{{auth_addr}},
+                std::make_unique<resolver::FixedPortAllocator>(40000), Rng(4));
+    client->bind_udp(5353, [this](const net::Packet&) { ++replies; });
+  }
+
+  /// One client query for www.test, sent and drained.
+  void query(std::uint16_t id) {
+    request.header.id = id;
+    client->send_udp(client_addr, 5353, res_addr, 53,
+                     dns::encode_pooled(request));
+    loop.run();
+  }
+};
+
+/// Heap allocations of one cache-hit client query, from the client's send
+/// to its receipt of the reply.
+constexpr std::uint64_t kCacheHitAllocsPerQuery = 6;
+
+TEST(AllocRegression, CacheHitClientQueryAllocationsArePinned) {
+  CacheHitFixture f;
+  f.query(0);  // resolves through the authoritative server, fills the cache
+  ASSERT_EQ(f.replies, 1u);
+  const std::uint64_t upstream = f.res->stats().upstream_queries;
+
+  constexpr int kQueries = 100;
+  std::uint16_t id = 1;
+  const std::uint64_t allocs = allocs_of(kQueries, [&] { f.query(id++); });
+  EXPECT_EQ(f.replies, 2u + kQueries);
+  EXPECT_EQ(f.res->stats().upstream_queries, upstream) << "not a cache hit";
+  // Per query: the resolver decodes the query, keeps the reply's id, rd bit
+  // and questions in its continuation, and copies the cached answer.
+  EXPECT_EQ(allocs, kQueries * kCacheHitAllocsPerQuery)
+      << "per query: " << static_cast<double>(allocs) / kQueries;
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/passive.h"
+#include "ditl/target_stream.h"
 #include "ditl/world.h"
 
 namespace {
@@ -68,13 +69,17 @@ TEST(Passive, NonZeroRangeResolversIgnored) {
   EXPECT_EQ(cmp.zero_now, 0u);
 }
 
-TEST(Passive, WorldGeneratesComparableHistory) {
-  const auto world = ditl::generate_world(ditl::small_world_spec());
-  EXPECT_FALSE(world->passive_capture.empty());
-  // Every capture entry belongs to a planted resolver.
-  for (const auto& [addr, ports] : world->passive_capture) {
+TEST(Passive, PlanGeneratesComparableHistory) {
+  const auto world =
+      ditl::generate_world(ditl::build_campaign_plan(ditl::small_world_spec()));
+  const analysis::PassiveCapture capture = ditl::passive_capture(*world->plan);
+  EXPECT_FALSE(capture.empty());
+  // Every capture entry belongs to a planted resolver, and holds either a
+  // comparable history (12 queries) or an insufficient one (3).
+  for (const auto& [addr, ports] : capture) {
     EXPECT_TRUE(world->truth_resolvers.count(addr)) << addr.to_string();
-    EXPECT_FALSE(ports.empty());
+    EXPECT_TRUE(ports.size() == 3 || ports.size() == 12)
+        << addr.to_string() << ": " << ports.size() << " ports";
   }
 }
 

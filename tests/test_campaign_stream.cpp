@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -79,8 +80,9 @@ TEST(CampaignStream, StreamedWorldsMatchGoldenDigests) {
 }
 
 TEST(CampaignStream, ShardWorldsPartitionTheFullWorldsTargets) {
-  const auto spec = test_spec(42);
-  const auto full = cd::ditl::generate_world(spec);  // shard 0 of 1
+  const std::shared_ptr<const cd::ditl::CampaignPlan> plan =
+      cd::ditl::build_campaign_plan(test_spec(42));
+  const auto full = cd::ditl::generate_world(plan);  // shard 0 of 1
   std::set<cd::net::IpAddr> full_targets;
   for (const auto& t : full->targets) full_targets.insert(t.addr);
   ASSERT_EQ(full_targets.size(), full->targets.size()) << "duplicate targets";
@@ -88,7 +90,7 @@ TEST(CampaignStream, ShardWorldsPartitionTheFullWorldsTargets) {
   const std::size_t n_shards = 4;
   std::set<cd::net::IpAddr> union_targets;
   for (std::size_t shard = 0; shard < n_shards; ++shard) {
-    const auto world = cd::ditl::generate_world(spec, shard, n_shards);
+    const auto world = cd::ditl::generate_world(plan, shard, n_shards);
     for (const auto& t : world->targets) {
       EXPECT_EQ(cd::scanner::shard_of(t.asn, n_shards), shard)
           << t.addr.to_string();
@@ -100,22 +102,49 @@ TEST(CampaignStream, ShardWorldsPartitionTheFullWorldsTargets) {
 }
 
 TEST(CampaignStream, ShardWorldIsSmallerThanTheFullWorld) {
-  const auto spec = test_spec(42);
-  const auto full = cd::ditl::generate_world(spec);
-  const auto shard = cd::ditl::generate_world(spec, 0, 8);
+  const std::shared_ptr<const cd::ditl::CampaignPlan> plan =
+      cd::ditl::build_campaign_plan(test_spec(42));
+  const auto full = cd::ditl::generate_world(plan);
+  const auto shard = cd::ditl::generate_world(plan, 0, 8);
   // An eighth of the ASes' fleets plus shared infra: well under half.
   EXPECT_LT(shard->resolvers.size(), full->resolvers.size() / 2);
   EXPECT_LT(shard->targets.size(), full->targets.size() / 2);
-  // But the routing/truth layers still cover every AS — packets to foreign
+  // But the routing layer still covers every AS — packets to foreign
   // prefixes must route (and drop at the stack), not vanish as unrouted.
   EXPECT_EQ(shard->topology.as_count(), full->topology.as_count());
 }
 
-TEST(CampaignStream, StreamCountsMatchTheMaterializedWorld) {
+TEST(CampaignStream, SharedPlanBuildsTheSameShardWorlds) {
+  // The sharded runner hands every shard one plan; a shard world built from
+  // it must equal one built from a plan of its own.
   const auto spec = test_spec(42);
-  const auto plan = cd::ditl::build_campaign_plan(spec);
+  const std::shared_ptr<const cd::ditl::CampaignPlan> shared =
+      cd::ditl::build_campaign_plan(spec);
+  const std::size_t n_shards = 4;
+  for (std::size_t shard = 0; shard < n_shards; ++shard) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    const auto a = cd::ditl::generate_world(shared, shard, n_shards);
+    const auto b = cd::ditl::generate_world(cd::ditl::build_campaign_plan(spec),
+                                            shard, n_shards);
+    EXPECT_EQ(a->plan, shared);
+    EXPECT_NE(b->plan, shared);
+    EXPECT_EQ(a->targets, b->targets);
+    ASSERT_EQ(a->truth_resolvers.size(), b->truth_resolvers.size());
+    for (auto ia = a->truth_resolvers.begin(), ib = b->truth_resolvers.begin();
+         ia != a->truth_resolvers.end(); ++ia, ++ib) {
+      EXPECT_EQ(ia->first, ib->first);
+      EXPECT_EQ(ia->second, ib->second);
+    }
+    EXPECT_EQ(a->hitlist_v6, b->hitlist_v6);
+    EXPECT_EQ(a->topology.as_count(), b->topology.as_count());
+  }
+}
+
+TEST(CampaignStream, StreamCountsMatchTheMaterializedWorld) {
+  const std::shared_ptr<const cd::ditl::CampaignPlan> plan =
+      cd::ditl::build_campaign_plan(test_spec(42));
   const auto counts = cd::ditl::count_stream(*plan);
-  const auto full = cd::ditl::generate_world(spec);
+  const auto full = cd::ditl::generate_world(plan);
   EXPECT_EQ(counts.targets, full->targets.size());
   // The stream counts edge fleets only; the world additionally materializes
   // the shared public DNS services.

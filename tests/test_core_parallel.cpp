@@ -80,7 +80,8 @@ class ParallelEquivalence : public ::testing::Test {
 
 TEST_F(ParallelEquivalence, ShardAndThreadCountsDoNotChangeResults) {
   for (const std::uint64_t seed : {std::uint64_t{42}, std::uint64_t{1337}}) {
-    const auto reference = cd::ditl::generate_world(test_spec(seed));
+    const auto reference = cd::ditl::generate_world(
+        cd::ditl::build_campaign_plan(test_spec(seed)));
     const ShardedResults serial = baseline(seed);
     const std::uint64_t serial_digest = results_digest(serial.merged);
     const std::string serial_csv = tables_csv(serial.merged, *reference);
@@ -135,7 +136,8 @@ TEST_F(ParallelEquivalence, RecordContentMatchesNotJustDigest) {
 }
 
 TEST_F(ParallelEquivalence, ShardsPartitionTargetsByAs) {
-  const auto world = cd::ditl::generate_world(test_spec(42));
+  const auto world =
+      cd::ditl::generate_world(cd::ditl::build_campaign_plan(test_spec(42)));
   const std::size_t n_shards = 8;
   std::map<std::size_t, std::size_t> per_shard;
   std::map<cd::sim::Asn, std::size_t> as_shard;

@@ -171,8 +171,9 @@ TEST(CrossCheckTruth, VerdictNeverContradictsTruthTable) {
   for (const std::uint64_t seed :
        {std::uint64_t{7}, std::uint64_t{99}, std::uint64_t{2024}}) {
     const auto spec = test_spec(seed, 14);
-    const auto world = cd::ditl::generate_world(spec);
-    const auto plan = cd::ditl::build_campaign_plan(spec);
+    const auto world =
+        cd::ditl::generate_world(cd::ditl::build_campaign_plan(spec));
+    const cd::ditl::CampaignPlan& plan = *world->plan;
 
     const std::uint32_t width = 64;
     ExperimentConfig config;
@@ -183,7 +184,7 @@ TEST(CrossCheckTruth, VerdictNeverContradictsTruthTable) {
     ASSERT_GT(results.crosscheck_probes, 0u);
 
     const auto policy_of_asn = [&](cd::sim::Asn asn) {
-      return plan->policy_of(asn - cd::ditl::kEdgeAsnBase);
+      return plan.policy_of(asn - cd::ditl::kEdgeAsnBase);
     };
 
     // Soundness.
@@ -219,7 +220,7 @@ TEST(CrossCheckTruth, VerdictNeverContradictsTruthTable) {
       ASSERT_TRUE(asn.has_value()) << addr.to_string();
       if (*asn < cd::ditl::kEdgeAsnBase ||
           *asn >= cd::ditl::kEdgeAsnBase + static_cast<cd::sim::Asn>(
-                                               plan->size())) {
+                                               plan.size())) {
         continue;  // infra/public resolvers are not in the /24 walk
       }
       const cd::sim::FilterPolicy policy = policy_of_asn(*asn);
@@ -404,8 +405,9 @@ TEST(MethodologyAgreement, ClassifiesEveryQuadrant) {
 TEST(MethodologyAgreement, VerdictsTrackTruthOverRandomizedWorlds) {
   for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{777}}) {
     const auto spec = test_spec(seed, 12);
-    const auto world = cd::ditl::generate_world(spec);
-    const auto plan = cd::ditl::build_campaign_plan(spec);
+    const auto world =
+        cd::ditl::generate_world(cd::ditl::build_campaign_plan(spec));
+    const cd::ditl::CampaignPlan& plan = *world->plan;
 
     const std::uint32_t width = 64;
     ExperimentConfig config;
@@ -426,7 +428,7 @@ TEST(MethodologyAgreement, VerdictsTrackTruthOverRandomizedWorlds) {
     }
 
     const std::vector<PrefixTarget> probed =
-        cd::ditl::prefix24_targets(*plan);
+        cd::ditl::prefix24_targets(plan);
     const cd::analysis::AgreementReport report =
         cd::analysis::methodology_agreement(results.records, world->targets,
                                             results.crosscheck_records,
@@ -436,7 +438,7 @@ TEST(MethodologyAgreement, VerdictsTrackTruthOverRandomizedWorlds) {
     for (const cd::analysis::AsAgreement& row : report.rows) {
       if (row.asn < cd::ditl::kEdgeAsnBase) continue;
       const cd::sim::FilterPolicy policy =
-          plan->policy_of(row.asn - cd::ditl::kEdgeAsnBase);
+          plan.policy_of(row.asn - cd::ditl::kEdgeAsnBase);
       const bool blocks_prefix_scan =
           policy.dsav || policy.drop_inbound_same_subnet;
       if (blocks_prefix_scan) {

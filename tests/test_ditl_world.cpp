@@ -4,6 +4,7 @@
 #include <set>
 
 #include "ditl/ditl.h"
+#include "ditl/plan.h"
 #include "ditl/world.h"
 #include "net/special.h"
 
@@ -37,7 +38,9 @@ TEST(DitlFilter, AppliesPaperExclusions) {
 class WorldInvariants : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    world_ = ditl::generate_world(ditl::small_world_spec()).release();
+    world_ = ditl::generate_world(
+                 ditl::build_campaign_plan(ditl::small_world_spec()))
+                 .release();
   }
   static void TearDownTestSuite() {
     delete world_;
@@ -88,19 +91,12 @@ TEST_F(WorldInvariants, ExperimentAuthsRegistered) {
 }
 
 TEST_F(WorldInvariants, TruthTablesCoverEdgeAses) {
-  EXPECT_EQ(world_->truth_dsav.size(),
-            static_cast<std::size_t>(world_->spec.n_asns));
-  for (const auto& [asn, dsav] : world_->truth_dsav) {
-    const auto* info = world_->topology.find(asn);
+  const ditl::CampaignPlan& plan = *world_->plan;
+  EXPECT_EQ(plan.size(), static_cast<std::size_t>(plan.spec.n_asns));
+  for (std::size_t id = 0; id < plan.size(); ++id) {
+    const auto* info = world_->topology.find(plan.asn_of(id));
     ASSERT_NE(info, nullptr);
-    EXPECT_EQ(info->policy.dsav, dsav);
-  }
-}
-
-TEST_F(WorldInvariants, GeoCoversAllTargets) {
-  for (const auto& target : world_->targets) {
-    EXPECT_TRUE(world_->geo.country_of(target.addr).has_value())
-        << target.addr.to_string();
+    EXPECT_EQ(info->policy.dsav, (plan.flags[id] & ditl::kAsDsav) != 0);
   }
 }
 
@@ -127,12 +123,13 @@ TEST_F(WorldInvariants, SomeTargetsAreStale) {
 TEST_F(WorldInvariants, MarginalsRoughlyHonored) {
   // DSAV deployment should be in a plausible band around the country-mix
   // average (small world -> generous tolerance).
+  const ditl::CampaignPlan& plan = *world_->plan;
   std::size_t dsav = 0;
-  for (const auto& [asn, d] : world_->truth_dsav) {
-    if (d) ++dsav;
+  for (std::size_t id = 0; id < plan.size(); ++id) {
+    if (plan.flags[id] & ditl::kAsDsav) ++dsav;
   }
   const double rate =
-      static_cast<double>(dsav) / static_cast<double>(world_->truth_dsav.size());
+      static_cast<double>(dsav) / static_cast<double>(plan.size());
   EXPECT_GT(rate, 0.25);
   EXPECT_LT(rate, 0.80);
 
@@ -147,9 +144,9 @@ TEST_F(WorldInvariants, MarginalsRoughlyHonored) {
 
 TEST(WorldGen, SeedsChangeWorlds) {
   auto spec = ditl::small_world_spec();
-  const auto w1 = ditl::generate_world(spec);
+  const auto w1 = ditl::generate_world(ditl::build_campaign_plan(spec));
   spec.seed = 777;
-  const auto w2 = ditl::generate_world(spec);
+  const auto w2 = ditl::generate_world(ditl::build_campaign_plan(spec));
   const auto addrs = [](const ditl::World& w) {
     std::vector<IpAddr> out;
     for (const auto& target : w.targets) out.push_back(target.addr);
@@ -161,7 +158,7 @@ TEST(WorldGen, SeedsChangeWorlds) {
 TEST(WorldGen, WildcardSpecAddsZoneRecords) {
   auto spec = ditl::small_world_spec();
   spec.wildcard_answers = true;
-  const auto world = ditl::generate_world(spec);
+  const auto world = ditl::generate_world(ditl::build_campaign_plan(spec));
   // The base zone can now answer an arbitrary experiment name.
   bool found_wildcard_answer = false;
   for (const auto& zone : world->zones) {
@@ -177,11 +174,47 @@ TEST(WorldGen, WildcardSpecAddsZoneRecords) {
 }
 
 TEST(WorldGen, PublicDnsServicesAreOpenResolvers) {
-  const auto world = ditl::generate_world(ditl::small_world_spec());
+  const auto world =
+      ditl::generate_world(ditl::build_campaign_plan(ditl::small_world_spec()));
   ASSERT_EQ(world->public_dns_addrs.size(), 8u);  // 4 services, dual-stack
   for (const IpAddr& addr : world->public_dns_addrs) {
     EXPECT_NE(world->network->host_at(addr), nullptr);
   }
+}
+
+// --- plan-backed analysis views ---------------------------------------------
+
+/// Every target geolocates to its AS's planned country: `country2` inside
+/// the second v4 prefix, `country` everywhere else (first v4 prefix, v6).
+/// Returns how many targets sit in a second prefix planned elsewhere.
+std::size_t expect_targets_get_planned_country(const ditl::WorldSpec& spec) {
+  const auto world = ditl::generate_world(ditl::build_campaign_plan(spec));
+  const ditl::CampaignPlan& plan = *world->plan;
+  const analysis::GeoDb geo = ditl::geo_db(plan);
+  EXPECT_FALSE(world->targets.empty());
+  std::size_t relocated = 0;
+  for (const auto& target : world->targets) {
+    const std::size_t id = target.asn - ditl::kEdgeAsnBase;
+    if (id >= plan.size()) {
+      ADD_FAILURE() << target.addr.to_string() << " is not in an edge AS";
+      continue;
+    }
+    const bool second = (plan.flags[id] & ditl::kAsHasSecondV4) &&
+                        plan.v4b[id].contains(target.addr);
+    const std::uint16_t country =
+        second ? plan.country2[id] : plan.country[id];
+    if (country != plan.country[id]) ++relocated;
+    EXPECT_EQ(geo.country_of(target.addr),
+              std::optional<std::string>(spec.countries[country].country))
+        << target.addr.to_string();
+  }
+  return relocated;
+}
+
+TEST(PlanViews, GeoDbGivesEveryTargetItsAsCountry) {
+  expect_targets_get_planned_country(ditl::small_world_spec());
+  // The bench world has multi-national ASes, so country2 is exercised.
+  EXPECT_GT(expect_targets_get_planned_country(ditl::bench_world_spec()), 0u);
 }
 
 }  // namespace

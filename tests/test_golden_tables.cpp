@@ -81,7 +81,8 @@ TEST(GoldenTables, Table3CategoryRows) {
   cd::ditl::WorldSpec spec = cd::ditl::bench_world_spec();
   spec.n_asns = static_cast<int>(spec.n_asns * kScale);
   spec.seed = kSeed;
-  auto world = cd::ditl::generate_world(spec);
+  auto world =
+      cd::ditl::generate_world(cd::ditl::build_campaign_plan(spec));
 
   cd::core::ExperimentConfig config;
   config.analyst = cd::scanner::AnalystConfig{};

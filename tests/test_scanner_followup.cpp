@@ -40,12 +40,13 @@ struct SentQuery {
 /// core::Experiment does) whose collector is fed synthetic auth-log
 /// entries, so first hits happen exactly when the test says they do.
 struct Fixture {
-  std::unique_ptr<ditl::World> world = ditl::generate_world([] {
-    auto spec = ditl::small_world_spec();
-    spec.seed = 4242;
-    return spec;
-  }());
-  Rng rng{world->spec.seed ^ 0xF0110};
+  std::unique_ptr<ditl::World> world =
+      ditl::generate_world(ditl::build_campaign_plan([] {
+        auto spec = ditl::small_world_spec();
+        spec.seed = 4242;
+        return spec;
+      }()));
+  Rng rng{world->plan->spec.seed ^ 0xF0110};
   QnameCodec codec{world->base_zone, world->keyword};
   SourceSelector selector{world->topology, world->hitlist_v6,
                           scanner::SourceSelectConfig{}, rng.split("select")};

@@ -11,7 +11,7 @@ using namespace cd;
 
 TEST(Followup, ExactlyOneBatteryPerTarget) {
   auto spec = ditl::small_world_spec();
-  auto world = ditl::generate_world(spec);
+  auto world = ditl::generate_world(ditl::build_campaign_plan(spec));
   core::ExperimentConfig config;
   core::Experiment experiment(*world, config);
   const auto& results = experiment.run();
@@ -33,7 +33,7 @@ TEST(Followup, ExactlyOneBatteryPerTarget) {
 
 TEST(Followup, OpenHitImpliesReachable) {
   auto spec = ditl::small_world_spec();
-  auto world = ditl::generate_world(spec);
+  auto world = ditl::generate_world(ditl::build_campaign_plan(spec));
   core::Experiment experiment(*world, {});
   const auto& results = experiment.run();
   for (const auto& [addr, rec] : results.records) {
@@ -51,7 +51,7 @@ TEST(Followup, OpenHitImpliesReachable) {
 
 TEST(Followup, ClosedVerdictMatchesTruth) {
   auto spec = ditl::small_world_spec();
-  auto world = ditl::generate_world(spec);
+  auto world = ditl::generate_world(ditl::build_campaign_plan(spec));
   core::Experiment experiment(*world, {});
   const auto& results = experiment.run();
   std::size_t checked = 0;
@@ -72,7 +72,8 @@ TEST(Followup, ClosedVerdictMatchesTruth) {
 }
 
 TEST(Experiment, RunIsIdempotent) {
-  auto world = ditl::generate_world(ditl::small_world_spec());
+  auto world = ditl::generate_world(
+      ditl::build_campaign_plan(ditl::small_world_spec()));
   core::Experiment experiment(*world, {});
   const auto& first = experiment.run();
   const auto first_sent = first.queries_sent;
@@ -83,8 +84,8 @@ TEST(Experiment, RunIsIdempotent) {
 
 TEST(Experiment, DeterministicAcrossRuns) {
   auto spec = ditl::small_world_spec();
-  auto w1 = ditl::generate_world(spec);
-  auto w2 = ditl::generate_world(spec);
+  auto w1 = ditl::generate_world(ditl::build_campaign_plan(spec));
+  auto w2 = ditl::generate_world(ditl::build_campaign_plan(spec));
   core::Experiment e1(*w1, {});
   core::Experiment e2(*w2, {});
   const auto& r1 = e1.run();
@@ -102,7 +103,7 @@ TEST(Experiment, DeterministicAcrossRuns) {
 TEST(Experiment, AnalystInjectionProducesLifetimeExclusions) {
   auto spec = ditl::small_world_spec();
   spec.ids_fraction = 1.0;  // every AS watches
-  auto world = ditl::generate_world(spec);
+  auto world = ditl::generate_world(ditl::build_campaign_plan(spec));
 
   core::ExperimentConfig config;
   scanner::AnalystConfig analyst;
@@ -124,12 +125,12 @@ TEST(Experiment, WildcardWorldClosesQminGap) {
   auto spec = ditl::small_world_spec();
   spec.qmin_fraction = 0.3;  // flood the world with minimizers
   spec.qmin_strict_share = 1.0;
-  auto nx_world = ditl::generate_world(spec);
+  auto nx_world = ditl::generate_world(ditl::build_campaign_plan(spec));
   core::Experiment nx_exp(*nx_world, {});
   const auto& nx = nx_exp.run();
 
   spec.wildcard_answers = true;
-  auto wc_world = ditl::generate_world(spec);
+  auto wc_world = ditl::generate_world(ditl::build_campaign_plan(spec));
   core::Experiment wc_exp(*wc_world, {});
   const auto& wc = wc_exp.run();
 
@@ -159,7 +160,8 @@ TEST(Experiment, WildcardWorldClosesQminGap) {
 }
 
 TEST(Experiment, NetworkStatsAccountForAllSends) {
-  auto world = ditl::generate_world(ditl::small_world_spec());
+  auto world = ditl::generate_world(
+      ditl::build_campaign_plan(ditl::small_world_spec()));
   core::Experiment experiment(*world, {});
   const auto& results = experiment.run();
   const auto& s = results.network_stats;

@@ -12,8 +12,8 @@ using namespace cd;
 
 TEST(Smoke, WorldGeneratesDeterministically) {
   const auto spec = ditl::small_world_spec();
-  const auto w1 = ditl::generate_world(spec);
-  const auto w2 = ditl::generate_world(spec);
+  const auto w1 = ditl::generate_world(ditl::build_campaign_plan(spec));
+  const auto w2 = ditl::generate_world(ditl::build_campaign_plan(spec));
   ASSERT_EQ(w1->targets.size(), w2->targets.size());
   for (std::size_t i = 0; i < w1->targets.size(); ++i) {
     EXPECT_EQ(w1->targets[i].addr, w2->targets[i].addr);
@@ -24,8 +24,9 @@ TEST(Smoke, WorldGeneratesDeterministically) {
 }
 
 TEST(Smoke, EndToEndExperiment) {
-  const auto spec = ditl::small_world_spec();
-  auto world = ditl::generate_world(spec);
+  auto world =
+      ditl::generate_world(ditl::build_campaign_plan(ditl::small_world_spec()));
+  const ditl::CampaignPlan& plan = *world->plan;
 
   core::ExperimentConfig config;
   config.probe.duration = 30 * sim::kMinute;
@@ -45,9 +46,9 @@ TEST(Smoke, EndToEndExperiment) {
     ++reachable;
     ASSERT_TRUE(world->truth_resolvers.count(addr))
         << addr.to_string() << " reached but never planted";
-    const auto asn_it = world->truth_dsav.find(rec.asn);
-    ASSERT_NE(asn_it, world->truth_dsav.end());
-    if (asn_it->second) {
+    const std::size_t id = rec.asn - ditl::kEdgeAsnBase;
+    ASSERT_LT(id, plan.size()) << "AS " << rec.asn << " is not an edge AS";
+    if (plan.flags[id] & ditl::kAsDsav) {
       // A DSAV-deploying AS can still be infiltrated — but only via
       // private/loopback sources, which DSAV (internal-address filtering)
       // does not cover unless martian filtering is also deployed.

@@ -122,12 +122,15 @@ inline Run run_standard_experiment(const RunOptions& options = {}) {
   config.num_threads = options.threads;
 
   const auto t0 = std::chrono::steady_clock::now();
+  // One plan for the reference world and every shard of the campaign.
+  const std::shared_ptr<const cd::ditl::CampaignPlan> plan =
+      cd::ditl::build_campaign_plan(spec);
   Run run;
-  run.world = cd::ditl::generate_world(cd::ditl::build_campaign_plan(spec));
+  run.world = cd::ditl::generate_world(plan);
   const std::chrono::duration<double, std::milli> gen =
       std::chrono::steady_clock::now() - t0;
 
-  cd::core::ShardedResults out = cd::core::run_sharded_experiment(spec, config);
+  cd::core::ShardedResults out = cd::core::run_sharded_experiment(plan, config);
   std::printf("# shards: %zu on %zu threads\n", config.num_shards,
               config.num_threads);
   for (const cd::core::ShardTiming& s : out.shards) {

@@ -1,6 +1,6 @@
-// Microbenchmarks: simulator hot paths — longest-prefix routing, the event
-// loop, resolver cache, port allocators, the Beta range model, and the
-// batched packet-delivery path (events/s + allocs/packet).
+// Microbenchmarks: simulator hot paths — longest-prefix routing, zone
+// lookup, the event loop, resolver cache, port allocators, the Beta range
+// model, and the batched packet-delivery path (events/s + allocs/packet).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 
 #include "analysis/beta.h"
 #include "dns/cache.h"
+#include "dns/zone.h"
 #include "net/packet.h"
 #include "resolver/port_alloc.h"
 #include "sim/event_loop.h"
@@ -78,6 +79,52 @@ void BM_RoutingLookupV4(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RoutingLookupV4)->Arg(100)->Arg(1000)->Arg(10000);
+
+/// Authoritative lookups as a campaign makes them, on zones shaped like the
+/// world's: a §3.3 probe name answered from the experiment zone's wildcard
+/// (referral:0), and the same name referred to org by the root zone, with
+/// glue (referral:1). Reports allocs/op.
+void BM_ZoneLookup(benchmark::State& state) {
+  const auto name = [](const char* s) { return dns::DnsName::must_parse(s); };
+  const auto addr = [](const char* s) { return net::IpAddr::must_parse(s); };
+  dns::SoaRdata soa;
+  soa.mname = name("www.dns-lab.org");
+  soa.rname = name("research.dns-lab.org");
+  soa.minimum = 300;
+
+  dns::Zone root(dns::DnsName(), soa);
+  root.add(dns::make_ns(dns::DnsName(), name("a.root-servers.cdnet")));
+  root.add(dns::make_a(name("a.root-servers.cdnet"), addr("199.7.0.1")));
+  root.add(dns::make_ns(name("org"), name("ns1.org-servers.cdnet")));
+  root.add(dns::make_a(name("ns1.org-servers.cdnet"), addr("199.7.1.1")));
+  root.add(dns::make_aaaa(name("ns1.org-servers.cdnet"), addr("2620:4f:1::1")));
+
+  dns::Zone base(name("dns-lab.org"), soa);
+  base.add(dns::make_ns(name("dns-lab.org"), name("ns1.dns-lab.org")));
+  base.add(dns::make_a(name("ns1.dns-lab.org"), addr("199.7.2.1")));
+  base.add(dns::make_aaaa(name("ns1.dns-lab.org"), addr("2620:4f:2::1")));
+  base.add(dns::make_a(name("www.dns-lab.org"), addr("199.7.2.1")));
+  base.add(dns::make_ns(name("v4.dns-lab.org"), name("nsv4.dns-lab.org")));
+  base.add(dns::make_a(name("nsv4.dns-lab.org"), addr("199.7.2.4")));
+  base.add(dns::make_ns(name("v6.dns-lab.org"), name("nsv6.dns-lab.org")));
+  base.add(dns::make_aaaa(name("nsv6.dns-lab.org"), addr("2620:4f:2::6")));
+  base.add(dns::make_a(name("*.x1.dns-lab.org"), addr("199.7.2.1")));
+  base.add(dns::make_a(name("*.x1.tcp.dns-lab.org"), addr("199.7.2.1")));
+
+  // ts.src.dst.asn.mode.kw.base: an initial probe's query name.
+  const dns::DnsName probe =
+      name("1575389436123456.cb620a0a.c6336401.64512.m0.x1.dns-lab.org");
+  const dns::Zone& zone = state.range(0) == 1 ? root : base;
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    dns::LookupResult result = zone.lookup(probe, dns::RrType::kA);
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["allocs/op"] = benchmark::Counter(
+      static_cast<double>(g_allocs.load(std::memory_order_relaxed) - before) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_ZoneLookup)->ArgName("referral")->Arg(0)->Arg(1);
 
 void BM_EventLoopScheduleRun(benchmark::State& state) {
   for (auto _ : state) {

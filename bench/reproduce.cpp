@@ -136,10 +136,10 @@ void headline(const Run& run) {
               with_commas(plan.size()).c_str());
 }
 
-void table1_countries(const Run& run) {
+void table1_countries(const Run& run, const analysis::GeoDb& geo) {
   std::printf("== table1_countries: paper Table 1 ==\n\n");
-  auto rows = analysis::dsav_by_country(run.results.records, run.world->targets,
-                                        ditl::geo_db(*run.world->plan));
+  auto rows =
+      analysis::dsav_by_country(run.results.records, run.world->targets, geo);
   std::sort(rows.begin(), rows.end(),
             [](const analysis::CountryRow& a, const analysis::CountryRow& b) {
               return a.ases_total > b.ases_total;
@@ -193,10 +193,10 @@ void table1_countries(const Run& run) {
               t.to_string().c_str());
 }
 
-void table2_reachable_pct(const Run& run) {
+void table2_reachable_pct(const Run& run, const analysis::GeoDb& geo) {
   std::printf("== table2_reachable_pct: paper Table 2 ==\n\n");
-  auto rows = analysis::dsav_by_country(run.results.records, run.world->targets,
-                                        ditl::geo_db(*run.world->plan));
+  auto rows =
+      analysis::dsav_by_country(run.results.records, run.world->targets, geo);
   // Rank by reachable-IP percentage, requiring a minimal population so a
   // single lucky resolver cannot top the list.
   std::erase_if(rows, [](const analysis::CountryRow& r) {
@@ -575,8 +575,9 @@ int main(int argc, char** argv) {
   const Run run =
       bench::run_standard_experiment(bench::parse_run_options(argc, argv));
   headline(run);
-  table1_countries(run);
-  table2_reachable_pct(run);
+  const analysis::GeoDb geo = ditl::geo_db(*run.world->plan);
+  table1_countries(run, geo);
+  table2_reachable_pct(run, geo);
   table3_categories(run);
   table4_port_ranges(run);
   fig2_port_range_hist(run);

@@ -84,7 +84,10 @@ echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poiso
 # inline buffer a word at a time, and the name property programs drive
 # heap-spilled names, suffix probes and compression pointers through it. So
 # does the source-selection suite, whose property program drives the
-# selector's per-AS /24 tables over random topologies. The resolver label
+# selector's per-AS /24 tables over random topologies, and so do the
+# topology and zone suites, whose property programs drive the flattened
+# route ranges, Network::send's border checks and the zone's in-place
+# suffix probes against their reference implementations. The resolver label
 # covers RecursiveResolver, which unbinds an upstream query's UDP port from
 # inside that port's own handler on every answer: the handler's SmallFn is
 # destroyed while it runs, and ASan proves nothing touches it afterwards.
@@ -94,7 +97,7 @@ cmake --build "${PREFIX}-asan" -j --target \
   test_sim_batched test_sim_tcp test_net_checksum test_campaign_stream \
   test_crosscheck test_attack_poisoning test_transport test_sim_event_core \
   test_dns_name test_dns_cache test_scanner_qname test_scanner_sources \
-  test_resolver_recursive test_resolver_auth
+  test_resolver_recursive test_resolver_auth test_sim_topology test_dns_zone
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir "${PREFIX}-asan" \
   -L "${ASAN_LABELS}" \

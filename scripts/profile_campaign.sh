@@ -18,8 +18,7 @@
 #   counting each sample once at its innermost match, e.g.
 #   --callers='hash_suffixes' splits that function's samples by who asked.
 #   A leaf function that sets up no frame of its own is charged straight
-#   to its caller's caller: Prefix::contains called from
-#   is_special_purpose shows up as called from Network::ingress_drop.
+#   to its caller's caller, so read such a chain one frame up.
 # The kernel delivers ITIMER_PROF about every 4 ms whatever interval is
 # asked for, so a campaign yields only a few hundred samples: sum over at
 # least 8 worlds before reading a share to a percent.

@@ -105,6 +105,18 @@ double ShardedResults::aggregate_ms() const {
 
 ShardedResults run_sharded_experiment(const cd::ditl::WorldSpec& spec,
                                       const ExperimentConfig& config) {
+  const auto plan_start = Clock::now();
+  std::shared_ptr<const cd::ditl::CampaignPlan> plan =
+      cd::ditl::build_campaign_plan(spec);
+  const double plan_ms = ms_since(plan_start);
+  ShardedResults out = run_sharded_experiment(std::move(plan), config);
+  out.wall_ms += plan_ms;
+  return out;
+}
+
+ShardedResults run_sharded_experiment(
+    std::shared_ptr<const cd::ditl::CampaignPlan> plan,
+    const ExperimentConfig& config) {
   const std::size_t n_shards = std::max<std::size_t>(1, config.num_shards);
   const std::size_t n_threads =
       std::min(std::max<std::size_t>(1, config.num_threads), n_shards);
@@ -118,8 +130,6 @@ ShardedResults run_sharded_experiment(const cd::ditl::WorldSpec& spec,
   const auto wall_start = Clock::now();
   // One immutable plan for the whole run: every shard world reads it (worker
   // threads included) and none copies it.
-  const std::shared_ptr<const cd::ditl::CampaignPlan> plan =
-      cd::ditl::build_campaign_plan(spec);
   std::vector<ShardOutcome> outcomes(n_shards);
 
   if (n_threads == 1) {

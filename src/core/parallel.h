@@ -64,6 +64,12 @@ struct ShardedResults {
 [[nodiscard]] ShardedResults run_sharded_experiment(
     const cd::ditl::WorldSpec& spec, const ExperimentConfig& config);
 
+/// The same over a plan the caller already built (and may read as well):
+/// wall_ms then starts at this call, so it leaves out the plan's build.
+[[nodiscard]] ShardedResults run_sharded_experiment(
+    std::shared_ptr<const cd::ditl::CampaignPlan> plan,
+    const ExperimentConfig& config);
+
 /// Order-independent digest of the shard-count-invariant evidence: records
 /// (sorted by target address, all fields except `first_hit_time`),
 /// QNAME-minimization ASes, lifetime exclusions, the scanner-side counters

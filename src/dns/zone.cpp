@@ -6,42 +6,46 @@ namespace cd::dns {
 
 Zone::Zone(DnsName origin, SoaRdata soa)
     : origin_(std::move(origin)), soa_(std::move(soa)) {
-  existing_.insert(origin_);
+  apex_ = &add_node(origin_);
 }
 
 DnsRr Zone::soa_rr() const {
   return make_soa(origin_, soa_, soa_.minimum);
 }
 
+const std::vector<DnsRr>* Zone::Node::find(RrType type) const {
+  for (const RrSet& set : sets) {
+    if (set.type == type) return &set.records;
+  }
+  return nullptr;
+}
+
+Zone::Node& Zone::add_node(const DnsName& name) {
+  const auto [it, inserted] = nodes_.try_emplace(name);
+  Node& node = it->second;  // nodes never move; iterators may, on rehash
+  if (inserted && name.label_count() > origin_.label_count()) {
+    // Empty non-terminals must exist (NoData, not NXDOMAIN), and the lookup
+    // walk stops at the first missing name.
+    Node& parent = add_node(name.parent());
+    if (name.label(0) == "*") parent.wildcard = &node;
+  }
+  return node;
+}
+
 void Zone::add(DnsRr rr) {
   CD_ENSURE(rr.name.is_subdomain_of(origin_),
             "Zone::add: " + rr.name.to_string() + " out of zone " +
                 origin_.to_string());
-  // Register the owner and every ancestor as existing (empty non-terminals
-  // must yield NoData rather than NXDOMAIN).
-  DnsName walk = rr.name;
-  while (!(walk == origin_)) {
-    existing_.insert(walk);
-    walk = walk.parent();
+  Node& node = add_node(rr.name);
+  for (RrSet& set : node.sets) {
+    if (set.type == rr.type) {
+      set.records.push_back(std::move(rr));
+      return;
+    }
   }
-  nodes_[rr.name][rr.type].push_back(std::move(rr));
-}
-
-const Zone::TypeMap* Zone::find_node(const DnsName& name) const {
-  const auto it = nodes_.find(name);
-  return it == nodes_.end() ? nullptr : &it->second;
-}
-
-std::optional<DnsName> Zone::find_cut(const DnsName& name) const {
-  // Walk from just below the origin down toward `name`, looking for the
-  // shallowest NS-bearing node (that is the authoritative cut).
-  const std::size_t origin_n = origin_.label_count();
-  for (std::size_t n = origin_n + 1; n <= name.label_count(); ++n) {
-    const DnsName candidate = name.suffix(n);
-    const TypeMap* node = find_node(candidate);
-    if (node && node->count(RrType::kNs)) return candidate;
-  }
-  return std::nullopt;
+  const RrType type = rr.type;
+  node.sets.push_back(RrSet{type, {}});
+  node.sets.back().records.push_back(std::move(rr));
 }
 
 void Zone::collect_glue(const std::vector<DnsRr>& ns_set,
@@ -49,12 +53,11 @@ void Zone::collect_glue(const std::vector<DnsRr>& ns_set,
   for (const DnsRr& ns : ns_set) {
     const auto* rd = std::get_if<NsRdata>(&ns.rdata);
     if (!rd) continue;
-    const TypeMap* node = find_node(rd->nsdname);
-    if (!node) continue;
+    const auto it = nodes_.find(rd->nsdname);
+    if (it == nodes_.end()) continue;
     for (RrType t : {RrType::kA, RrType::kAaaa}) {
-      const auto it = node->find(t);
-      if (it != node->end()) {
-        glue.insert(glue.end(), it->second.begin(), it->second.end());
+      if (const auto* rrs = it->second.find(t)) {
+        glue.insert(glue.end(), rrs->begin(), rrs->end());
       }
     }
   }
@@ -67,61 +70,56 @@ LookupResult Zone::lookup(const DnsName& qname, RrType qtype) const {
     return result;
   }
 
-  // Delegation check: an NS set below the origin (not a query *for* NS at
-  // exactly the cut, which is still a referral per RFC 1034 — the child is
-  // authoritative, not us).
-  if (const auto cut = find_cut(qname)) {
-    const TypeMap* node = find_node(*cut);
-    const auto ns_it = node->find(RrType::kNs);
-    result.kind = LookupKind::kDelegation;
-    result.records = ns_it->second;
-    collect_glue(result.records, result.glue);
-    return result;
+  // Walk from the origin down toward qname, probing each suffix in place.
+  // Every ancestor of a registered name is registered, so the first missing
+  // suffix ends the walk and the deepest node reached is the closest
+  // encloser. The first NS node below the origin is the zone cut: at or
+  // below it the answer is a referral (a query *for* NS at the cut too —
+  // the child is authoritative, not us).
+  const SuffixHashes suffixes(qname);
+  const Node* node = apex_;
+  std::size_t depth = origin_.label_count();
+  while (depth < qname.label_count()) {
+    const auto it = nodes_.find(NameRef{&suffixes, depth + 1});
+    if (it == nodes_.end()) break;
+    node = &it->second;
+    ++depth;
+    if (const auto* ns = node->find(RrType::kNs)) {
+      result.kind = LookupKind::kDelegation;
+      result.records = *ns;
+      collect_glue(result.records, result.glue);
+      return result;
+    }
   }
 
-  if (const TypeMap* node = find_node(qname)) {
-    const auto it = node->find(qtype);
-    if (it != node->end()) {
+  if (depth == qname.label_count()) {
+    const auto* rrs = node->find(qtype);
+    if (!rrs) rrs = node->find(RrType::kCname);
+    if (rrs) {
       result.kind = LookupKind::kAnswer;
-      result.records = it->second;
+      result.records = *rrs;
       return result;
     }
-    const auto cname_it = node->find(RrType::kCname);
-    if (cname_it != node->end()) {
-      result.kind = LookupKind::kAnswer;
-      result.records = cname_it->second;
-      return result;
-    }
+    // The name exists (possibly as an empty non-terminal) without that type.
     result.kind = LookupKind::kNoData;
     result.soa = soa_rr();
     return result;
   }
 
-  if (existing_.count(qname)) {
-    // Empty non-terminal: exists, holds nothing.
-    result.kind = LookupKind::kNoData;
-    result.soa = soa_rr();
-    return result;
-  }
-
-  // Wildcard synthesis: find the closest encloser (deepest existing
-  // ancestor), then look for "*" directly beneath it.
-  DnsName encloser = qname.parent();
-  while (!existing_.count(encloser)) encloser = encloser.parent();
-  const DnsName wildcard = encloser.prepend("*");
-  if (const TypeMap* node = find_node(wildcard)) {
-    const auto it = node->find(qtype);
-    if (it != node->end()) {
+  // Wildcard synthesis: "*" directly beneath the closest encloser.
+  const Node* wildcard = node->wildcard;
+  if (wildcard != nullptr && !wildcard->sets.empty()) {
+    result.wildcard = true;
+    if (const auto* rrs = wildcard->find(qtype)) {
       result.kind = LookupKind::kAnswer;
-      result.wildcard = true;
-      for (DnsRr rr : it->second) {
+      result.records.reserve(rrs->size());
+      for (DnsRr rr : *rrs) {
         rr.name = qname;  // synthesis: owner becomes the query name
         result.records.push_back(std::move(rr));
       }
       return result;
     }
     result.kind = LookupKind::kNoData;
-    result.wildcard = true;
     result.soa = soa_rr();
     return result;
   }
@@ -133,8 +131,8 @@ LookupResult Zone::lookup(const DnsName& qname, RrType qtype) const {
 
 std::size_t Zone::record_count() const {
   std::size_t n = 0;
-  for (const auto& [name, types] : nodes_) {
-    for (const auto& [t, rrs] : types) n += rrs.size();
+  for (const auto& [name, node] : nodes_) {
+    for (const RrSet& set : node.sets) n += set.records.size();
   }
   return n;
 }

@@ -1,9 +1,8 @@
 // Authoritative zone data with delegation and wildcard support.
 #pragma once
 
-#include <map>
 #include <optional>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/message.h"
@@ -27,12 +26,17 @@ struct LookupResult {
   bool wildcard = false;         // answer synthesized from a wildcard
 };
 
-/// One authoritative zone: an origin, an SOA, and a name->type->RRset map.
-/// Supports zone cuts (NS below origin => referral + glue) and RFC 1034
-/// wildcards ("*" leftmost label at the closest encloser).
+/// One authoritative zone: an origin, an SOA, and its names with their
+/// RRsets. Supports zone cuts (NS below origin => referral + glue) and RFC
+/// 1034 wildcards ("*" leftmost label at the closest encloser).
 class Zone {
  public:
   Zone(DnsName origin, SoaRdata soa);
+  // Nodes point at their "*" children inside the node table.
+  Zone(const Zone&) = delete;
+  Zone& operator=(const Zone&) = delete;
+  Zone(Zone&&) = default;
+  Zone& operator=(Zone&&) = default;
 
   [[nodiscard]] const DnsName& origin() const { return origin_; }
   [[nodiscard]] const SoaRdata& soa() const { return soa_; }
@@ -47,20 +51,57 @@ class Zone {
   [[nodiscard]] std::size_t record_count() const;
 
  private:
-  // Names are keyed in canonical (case-folded) order via DnsName::operator<.
-  using TypeMap = std::map<RrType, std::vector<DnsRr>>;
+  struct RrSet {
+    RrType type;
+    std::vector<DnsRr> records;
+  };
+  /// A name in the zone. A node with no RRsets is an empty non-terminal.
+  struct Node {
+    std::vector<RrSet> sets;
+    /// The "*" child, when one is registered. It is a wildcard only if it
+    /// owns records: "*" as an empty non-terminal synthesizes nothing.
+    const Node* wildcard = nullptr;
 
-  [[nodiscard]] const TypeMap* find_node(const DnsName& name) const;
-  /// Deepest zone cut strictly between origin (exclusive) and name
-  /// (inclusive), if any.
-  [[nodiscard]] std::optional<DnsName> find_cut(const DnsName& name) const;
+    [[nodiscard]] const std::vector<DnsRr>* find(RrType type) const;
+  };
+  /// Suffix `n` of a name, hashed in place (see SuffixHashes).
+  struct NameRef {
+    const SuffixHashes* name;
+    std::size_t n;
+  };
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(const DnsName& name) const noexcept {
+      return name.hash();
+    }
+    std::size_t operator()(const NameRef& ref) const noexcept {
+      return ref.name->hash(ref.n);
+    }
+  };
+  struct NameEq {
+    using is_transparent = void;
+    bool operator()(const DnsName& a, const DnsName& b) const {
+      return a == b;
+    }
+    bool operator()(const NameRef& a, const DnsName& b) const {
+      return a.name->name().suffix_equals(a.n, b);
+    }
+    bool operator()(const DnsName& a, const NameRef& b) const {
+      return (*this)(b, a);
+    }
+  };
+
+  /// Registers `name` and every ancestor down to the origin; returns its node.
+  Node& add_node(const DnsName& name);
   void collect_glue(const std::vector<DnsRr>& ns_set,
                     std::vector<DnsRr>& glue) const;
 
   DnsName origin_;
   SoaRdata soa_;
-  std::map<DnsName, TypeMap> nodes_;
-  std::set<DnsName> existing_;  // owner names + empty non-terminals
+  /// Every owner name, every ancestor of one down to the origin (empty
+  /// non-terminals) and the origin itself, keyed case-insensitively.
+  std::unordered_map<DnsName, Node, NameHash, NameEq> nodes_;
+  const Node* apex_ = nullptr;
 };
 
 }  // namespace cd::dns

@@ -57,8 +57,26 @@ const std::vector<Prefix>& special_purpose_registry(IpFamily family) {
 }
 
 bool is_special_purpose(const IpAddr& addr) {
-  for (const Prefix& p : special_purpose_registry(addr.family())) {
-    if (p.contains(addr)) return true;
+  // The registry compiled to (mask, value) pairs: an address is inside an
+  // entry when its masked bits equal the entry's base. A v4 address sits in
+  // the low 32 bits with zeros above, so its masks cover those zeros too.
+  struct Masked {
+    U128 mask;
+    U128 value;
+  };
+  const auto compile = [](IpFamily family) {
+    std::vector<Masked> out;
+    for (const Prefix& p : special_purpose_registry(family)) {
+      const int pad = 128 - p.base().width();
+      out.push_back({mask128(pad + p.length()), p.base().bits()});
+    }
+    return out;
+  };
+  static const std::vector<Masked> v4 = compile(IpFamily::kV4);
+  static const std::vector<Masked> v6 = compile(IpFamily::kV6);
+  const U128 bits = addr.bits();
+  for (const Masked& m : addr.is_v4() ? v4 : v6) {
+    if ((bits & m.mask) == m.value) return true;
   }
   return false;
 }
@@ -77,15 +95,10 @@ bool is_unique_local_v6(const IpAddr& addr) {
 }
 
 bool is_loopback(const IpAddr& addr) {
-  if (addr.is_v4()) {
-    static const Prefix kLoop = Prefix::must_parse("127.0.0.0/8");
-    return kLoop.contains(addr);
-  }
-  return addr == IpAddr::must_parse("::1");
-}
-
-bool is_unroutable(const IpAddr& addr) {
-  return is_special_purpose(addr);
+  // 127.0.0.0/8 or ::1. Every packet a host stack screens asks, so nothing
+  // is parsed here.
+  if (addr.is_v4()) return addr.v4_bits() >> 24 == 127;
+  return addr.bits() == U128{0, 1};
 }
 
 }  // namespace cd::net

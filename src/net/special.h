@@ -24,10 +24,6 @@ namespace cd::net {
 /// 127.0.0.0/8 or ::1.
 [[nodiscard]] bool is_loopback(const IpAddr& addr);
 
-/// True if the address could never appear in the public routing table
-/// (special purpose, loopback, multicast, unspecified).
-[[nodiscard]] bool is_unroutable(const IpAddr& addr);
-
 /// The registry entries for a family, for enumeration in tests/docs.
 [[nodiscard]] const std::vector<Prefix>& special_purpose_registry(
     IpFamily family);

@@ -102,25 +102,25 @@ DnsMessage AuthServer::answer(const DnsMessage& query, bool tcp) const {
     return cd::dns::make_response(query, Rcode::kRefused);
   }
 
-  const cd::dns::LookupResult result = zone->lookup(qname, qtype);
+  cd::dns::LookupResult result = zone->lookup(qname, qtype);
   DnsMessage resp = cd::dns::make_response(query, Rcode::kNoError);
   switch (result.kind) {
     case LookupKind::kAnswer:
       resp.header.aa = true;
-      resp.answers = result.records;
+      resp.answers = std::move(result.records);
       break;
     case LookupKind::kDelegation:
-      resp.authorities = result.records;
-      resp.additionals = result.glue;
+      resp.authorities = std::move(result.records);
+      resp.additionals = std::move(result.glue);
       break;
     case LookupKind::kNoData:
       resp.header.aa = true;
-      if (result.soa) resp.authorities.push_back(*result.soa);
+      if (result.soa) resp.authorities.push_back(std::move(*result.soa));
       break;
     case LookupKind::kNxDomain:
       resp.header.aa = true;
       resp.header.rcode = Rcode::kNxDomain;
-      if (result.soa) resp.authorities.push_back(*result.soa);
+      if (result.soa) resp.authorities.push_back(std::move(*result.soa));
       break;
     case LookupKind::kNotInZone:
       resp.header.rcode = Rcode::kRefused;

@@ -101,20 +101,23 @@ SimTime Network::pair_base_latency(Asn from, Asn to) {
   return 5 * kMillisecond + static_cast<SimTime>(h % (45 * kMillisecond));
 }
 
-bool Network::egress_drop(Asn origin_asn, const Packet& packet) const {
-  // Origin border, egress: BCP 38 / OSAV.
+DropReason Network::border_drop(const Packet& packet, Asn origin_asn,
+                                 const AsInfo* dest) const {
   const AsInfo* origin = topology_.find(origin_asn);
-  return origin != nullptr && origin->policy.osav &&
-         !topology_.is_internal(origin_asn, packet.src);
-}
+  const bool osav = origin != nullptr && origin->policy.osav;
+  const bool dsav = dest != nullptr && dest->policy.dsav;
+  // Both source checks read the source's route: look it up once, and only
+  // when one of them runs. A router can only check "inside AS X" against
+  // its routing table: the covering announcement originates from X.
+  const Route* src = osav || dsav ? topology_.route(packet.src) : nullptr;
 
-DropReason Network::ingress_drop(Asn dest_asn, const Packet& packet) const {
-  // Destination border, ingress.
-  const AsInfo* dest = topology_.find(dest_asn);
-  if (dest == nullptr) return DropReason::kNone;
-  if (dest->policy.dsav && topology_.is_internal(dest_asn, packet.src)) {
-    return DropReason::kDsav;
+  // Origin border, egress: BCP 38 / OSAV.
+  if (osav && (src == nullptr || src->asn != origin_asn)) {
+    return DropReason::kOsav;
   }
+  // Destination border, ingress.
+  if (dest == nullptr) return DropReason::kNone;
+  if (dsav && src != nullptr && src->asn == dest->asn) return DropReason::kDsav;
   if (dest->policy.drop_inbound_martians &&
       cd::net::is_special_purpose(packet.src)) {
     return DropReason::kMartian;
@@ -143,9 +146,9 @@ DropReason Network::classify(const Packet& packet, Asn origin_asn,
   if (!anycast_.empty()) {
     if (Host* site = anycast_catchment(packet.dst, origin_asn)) {
       if (site->asn() != origin_asn) {
-        if (egress_drop(origin_asn, packet)) return DropReason::kOsav;
-        const DropReason ingress = ingress_drop(site->asn(), packet);
-        if (ingress != DropReason::kNone) return ingress;
+        const DropReason border =
+            border_drop(packet, origin_asn, topology_.find(site->asn()));
+        if (border != DropReason::kNone) return border;
       }
       if (!site->stack_accepts(packet)) return DropReason::kStackRejected;
       *out_host = site;
@@ -153,15 +156,12 @@ DropReason Network::classify(const Packet& packet, Asn origin_asn,
     }
   }
 
-  const auto dst_asn = topology_.asn_of(packet.dst);
-  const bool crosses_border = !dst_asn || *dst_asn != origin_asn;
-  if (crosses_border && egress_drop(origin_asn, packet)) {
-    return DropReason::kOsav;
-  }
-  if (!dst_asn) return DropReason::kUnrouted;
-  if (crosses_border) {
-    const DropReason ingress = ingress_drop(*dst_asn, packet);
-    if (ingress != DropReason::kNone) return ingress;
+  const Route* dst = topology_.route(packet.dst);
+  if (dst == nullptr || dst->asn != origin_asn) {
+    const DropReason border =
+        border_drop(packet, origin_asn, dst ? dst->info : nullptr);
+    if (border != DropReason::kNone) return border;
+    if (dst == nullptr) return DropReason::kUnrouted;
   }
 
   Host* host = host_at(packet.dst);

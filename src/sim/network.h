@@ -246,14 +246,13 @@ class Network {
 
   [[nodiscard]] DropReason classify(const cd::net::Packet& packet,
                                     Asn origin_asn, Host** out_host);
-  /// Origin-border egress filter (OSAV): true when `origin_asn` drops the
-  /// packet on its way out.
-  [[nodiscard]] bool egress_drop(Asn origin_asn,
-                                 const cd::net::Packet& packet) const;
-  /// Destination-border ingress filters, in order: DSAV, martian sources,
-  /// subnet uRPF. kNone when `dest_asn` lets the packet in.
-  [[nodiscard]] DropReason ingress_drop(Asn dest_asn,
-                                        const cd::net::Packet& packet) const;
+  /// Border filters of a packet crossing from `origin_asn` into `dest` (null
+  /// when unrouted), in order: the origin's OSAV on egress, then the
+  /// destination's DSAV, martian and subnet-uRPF filters on ingress. kNone
+  /// when both borders let the packet through.
+  [[nodiscard]] DropReason border_drop(const cd::net::Packet& packet,
+                                       Asn origin_asn,
+                                       const AsInfo* dest) const;
   [[nodiscard]] SimTime latency(Asn from, Asn to,
                                 const cd::net::Packet& packet) const;
   struct PendingSlot {

@@ -2,9 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -38,37 +36,58 @@ struct AsInfo {
   std::vector<cd::net::Prefix> prefixes_v6;
 };
 
-/// Longest-prefix-match routing table mapping prefixes to origin ASes.
-/// Implemented as per-length hash maps probed from the longest announced
-/// length downward.
+/// One announcement as routing sees it: the prefix, its origin AS and that
+/// AS's record, so border policy needs no AS lookup.
+struct Route {
+  cd::net::Prefix prefix;
+  Asn asn = 0;
+  const AsInfo* info = nullptr;
+};
+
+/// Longest-prefix-match routing table. Announcements are flattened into
+/// sorted, disjoint address ranges per family, each naming the most
+/// specific announcement that covers it, so a lookup is one binary search.
+/// add() only appends; the first lookup after an add() rebuilds the ranges
+/// (once per world in practice, after its ASes are registered). That
+/// rebuild writes, so a table is read by one thread at a time, as a shard
+/// world's topology is.
 class RoutingTable {
  public:
-  void add(const cd::net::Prefix& prefix, Asn asn);
+  RoutingTable() = default;
+  // Ranges point into the table's own announcement vectors.
+  RoutingTable(const RoutingTable&) = delete;
+  RoutingTable& operator=(const RoutingTable&) = delete;
+  RoutingTable(RoutingTable&&) = default;
+  RoutingTable& operator=(RoutingTable&&) = default;
 
-  /// Origin AS of the most specific covering announcement, if any.
-  [[nodiscard]] std::optional<Asn> lookup(const cd::net::IpAddr& addr) const;
+  /// Announces `prefix` from `origin`, which must outlive the table. A later
+  /// announcement of the same prefix replaces the earlier one.
+  void add(const cd::net::Prefix& prefix, const AsInfo& origin);
 
-  /// The matched announcement itself.
-  [[nodiscard]] std::optional<cd::net::Prefix> lookup_prefix(
-      const cd::net::IpAddr& addr) const;
-
-  [[nodiscard]] std::size_t size() const { return count_; }
+  /// The most specific announcement covering `addr`, or null. The pointer
+  /// stays valid until the next add().
+  [[nodiscard]] const Route* find(const cd::net::IpAddr& addr) const;
 
  private:
-  struct Match {
-    cd::net::Prefix prefix;
-    Asn asn;
+  /// Range i covers [starts[i], starts[i + 1]) (the last one runs to the top
+  /// of the address space) and routes there, or nowhere when null.
+  template <typename Key>
+  struct Ranges {
+    std::vector<Key> starts;
+    std::vector<const Route*> routes;
   };
-  [[nodiscard]] const Match* find(const cd::net::IpAddr& addr) const;
+  template <typename Key, typename KeyOf>
+  static void flatten(std::vector<Route>& announced, Ranges<Key>& ranges,
+                      KeyOf key_of);
+  void rebuild() const;
 
-  // length -> (masked bits -> match), kept sorted by length so we can probe
-  // from most- to least-specific. Separate tables per family.
-  using LengthMap =
-      std::map<int, std::unordered_map<cd::net::U128, Match, cd::net::U128Hash>,
-               std::greater<int>>;
-  LengthMap v4_;
-  LengthMap v6_;
-  std::size_t count_ = 0;
+  // Announcements per family: in announcement order since the last rebuild,
+  // sorted and deduplicated by it. The ranges point into these vectors.
+  mutable std::vector<Route> v4_;
+  mutable std::vector<Route> v6_;
+  mutable Ranges<std::uint32_t> v4_ranges_;
+  mutable Ranges<cd::net::U128> v6_ranges_;
+  mutable bool stale_ = false;
 };
 
 /// The set of ASes, their announced prefixes, and the global routing view.
@@ -83,11 +102,13 @@ class Topology {
   [[nodiscard]] const AsInfo* find(Asn asn) const;
   [[nodiscard]] AsInfo* find(Asn asn);
 
+  /// The longest-prefix-match announcement covering `addr`, or null.
+  [[nodiscard]] const Route* route(const cd::net::IpAddr& addr) const {
+    return routes_.find(addr);
+  }
+
   /// Origin AS of `addr` per longest-prefix match.
   [[nodiscard]] std::optional<Asn> asn_of(const cd::net::IpAddr& addr) const;
-
-  /// True if `addr` falls within any prefix originated by `asn`.
-  [[nodiscard]] bool is_internal(Asn asn, const cd::net::IpAddr& addr) const;
 
   [[nodiscard]] const std::vector<cd::net::Prefix>& prefixes_of(
       Asn asn, cd::net::IpFamily family) const;
@@ -96,7 +117,6 @@ class Topology {
     return ases_;
   }
   [[nodiscard]] std::size_t as_count() const { return ases_.size(); }
-  [[nodiscard]] const RoutingTable& routes() const { return routes_; }
 
  private:
   std::unordered_map<Asn, AsInfo> ases_;

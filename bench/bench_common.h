@@ -2,11 +2,13 @@
 // paper-vs-measured row helpers, CSV output.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -64,13 +66,17 @@ struct RunOptions {
   std::optional<cd::core::CaptureSpec> capture = std::nullopt;
 };
 
-/// Parses --scale=X --seed=N --threads=N --shards=N (unknown args ignored,
-/// so benches keep working under tooling that appends its own flags;
-/// malformed values exit via parse_number). --scale must be positive (and
-/// must ask for 1 to INT_MAX ASes: run_standard_experiment exits 2
-/// otherwise) and --threads/--shards at least 1. --threads alone implies one
-/// shard per thread.
-inline RunOptions parse_run_options(int argc, char** argv) {
+/// Parses --scale=X --seed=N --threads=N --shards=N. `own_flags` names the
+/// flags the caller parses itself: an entry ending in '=' matches any value
+/// ("--pcap="), any other entry matches exactly ("--no-drops"). Any other
+/// argument prints an error naming it and exits with status 2, so a typo
+/// (--shard=8) never runs the defaults silently; malformed values exit via
+/// parse_number. --scale must be positive (and must ask for 1 to INT_MAX
+/// ASes: run_standard_experiment exits 2 otherwise) and --threads/--shards
+/// at least 1. --threads alone implies one shard per thread.
+inline RunOptions parse_run_options(
+    int argc, char** argv,
+    std::initializer_list<std::string_view> own_flags = {}) {
   RunOptions opt;
   bool shards_given = false;
   for (int i = 1; i < argc; ++i) {
@@ -86,6 +92,15 @@ inline RunOptions parse_run_options(int argc, char** argv) {
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
       opt.shards = parse_number<std::size_t>("--shards", arg + 9, 1);
       shards_given = true;
+    } else if (std::none_of(own_flags.begin(), own_flags.end(),
+                            [given = std::string_view(arg)](
+                                std::string_view flag) {
+                              return flag.ends_with('=')
+                                         ? given.starts_with(flag)
+                                         : given == flag;
+                            })) {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", arg);
+      std::exit(2);
     }
   }
   if (!shards_given) opt.shards = opt.threads;

@@ -1,6 +1,7 @@
 // Microbenchmarks: simulator hot paths — longest-prefix routing, zone
 // lookup, the event loop, resolver cache, port allocators, the Beta range
-// model, and the batched packet-delivery path (events/s + allocs/packet).
+// model, and the packet-delivery path, one event per packet (events/s +
+// allocs/packet).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -228,7 +229,7 @@ struct DeliveryFixture {
 
 /// Shared body: send `kBurst` packets, drain, report events/s (delivered
 /// packets) and allocs/packet. `vary_payload` breaks the content-hash tie so
-/// packets spread over distinct arrival ticks (singleton batches).
+/// packets spread over distinct arrival ticks.
 void delivery_bench(benchmark::State& state, bool vary_payload) {
   constexpr int kBurst = 256;
   DeliveryFixture f;
@@ -259,14 +260,14 @@ void delivery_bench(benchmark::State& state, bool vary_payload) {
 }
 
 /// Identical packets get identical content-hashed latency, so the whole
-/// burst lands on one tick: the coalescing best case.
+/// burst lands on one tick: 256 delivery events queued for the same time.
 void BM_DeliverySameTickBurst(benchmark::State& state) {
   delivery_bench(state, /*vary_payload=*/false);
 }
 BENCHMARK(BM_DeliverySameTickBurst);
 
-/// Distinct payloads spread arrivals over distinct ticks — batches are
-/// almost all singletons, pinning the no-regression side of the ledger.
+/// Distinct payloads spread arrivals over distinct ticks, at most a few
+/// packets per tick: the shape campaign traffic has.
 void BM_DeliveryJitteredSingletons(benchmark::State& state) {
   delivery_bench(state, /*vary_payload=*/true);
 }

@@ -560,6 +560,8 @@ void passive_comparison(const Run& run,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunOptions options =
+      bench::parse_run_options(argc, argv, {"--pcap="});
   std::optional<analysis::PassiveCapture> replayed;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--pcap=", 7) != 0) continue;
@@ -572,8 +574,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const Run run =
-      bench::run_standard_experiment(bench::parse_run_options(argc, argv));
+  const Run run = bench::run_standard_experiment(options);
   headline(run);
   const analysis::GeoDb geo = ditl::geo_db(*run.world->plan);
   table1_countries(run, geo);

@@ -8,13 +8,15 @@
 # pipelined sessions), the event-core suite (label "eventcore") and the
 # cross-check and poisoning suites (labels "crosscheck" and "poison", whose
 # sharded campaigns run on worker threads that read one shared campaign
-# plan), AddressSanitizer over the fuzz + pcap + batched-delivery + tcp +
-# transport + campaign + crosscheck + poison + eventcore + resolver labels
-# (bit-flip/truncation fuzzing only proves "throws, never over-reads" when
-# the reads are instrumented, the TCP reassembly/segment/session paths
-# exercise the pooled-buffer recycling hardest, the event loop's
-# intrusive node pool and heap entries are raw pointers, and the resolver
-# destroys a UDP handler from inside that handler's own call), and
+# plan), AddressSanitizer over the fuzz + pcap + batched (packet delivery)
+# + tcp + transport + campaign + crosscheck + poison + eventcore + resolver
+# labels (bit-flip/truncation fuzzing only proves "throws, never
+# over-reads" when the reads are instrumented, the TCP
+# reassembly/segment/session paths exercise the pooled-buffer recycling
+# hardest, the event loop's intrusive node pool and heap entries are raw
+# pointers, a delivery handler that sends grows the network's in-flight
+# table under the packet it was handed, and the resolver destroys a UDP
+# handler from inside that handler's own call), and
 # UndefinedBehaviorSanitizer over the same labels plus the full unit suite
 # (shift/overflow/alignment UB in the byte codecs), the golden-table pins
 # (label "golden"), the allocation regression (label "alloc": UBSan does
@@ -91,13 +93,17 @@ echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poiso
 # covers RecursiveResolver, which unbinds an upstream query's UDP port from
 # inside that port's own handler on every answer: the handler's SmallFn is
 # destroyed while it runs, and ASan proves nothing touches it afterwards.
+# The batched label also carries the network suite, whose burst-from-a-
+# handler case grows Network's in-flight table while the delivered packet
+# is still in use.
 cmake -B "${PREFIX}-asan" -S . -DCD_SANITIZE=address >/dev/null
 cmake --build "${PREFIX}-asan" -j --target \
   test_util_bytes test_dns_message test_util_pcap test_golden_pcap \
   test_sim_batched test_sim_tcp test_net_checksum test_campaign_stream \
   test_crosscheck test_attack_poisoning test_transport test_sim_event_core \
   test_dns_name test_dns_cache test_scanner_qname test_scanner_sources \
-  test_resolver_recursive test_resolver_auth test_sim_topology test_dns_zone
+  test_resolver_recursive test_resolver_auth test_sim_topology test_dns_zone \
+  test_sim_network
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir "${PREFIX}-asan" \
   -L "${ASAN_LABELS}" \

@@ -272,12 +272,12 @@ const ExperimentResults& Experiment::run() {
   // throws at kMaxEventsPerShard instead of returning early), and every
   // connection on every host has completed, timed out, or been idle-closed
   // — a leaked entry means a stray timer or session index entry. No
-  // delivery slot outlives its drain event either. Conservation: every
+  // accepted packet outlives its delivery event either. Conservation: every
   // packet sent was either delivered or dropped for exactly one reason.
   CD_ENSURE(world_.network->open_tcp_connections() == 0,
             "Experiment: TCP connections leaked past the drained loop");
-  CD_ENSURE(world_.network->pending_delivery_slots() == 0,
-            "Experiment: delivery slots pending past the drained loop");
+  CD_ENSURE(world_.network->packets_in_flight() == 0,
+            "Experiment: packets in flight past the drained loop");
   const cd::sim::NetworkStats& net = results.network_stats;
   CD_ENSURE(net.sent == net.delivered + net.dropped(),
             "Experiment: packets sent != delivered + dropped at drain");

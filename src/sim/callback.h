@@ -15,14 +15,14 @@ class SmallFn;
 
 /// Move-only type-erased `R(Args...)` callable with inline storage sized for
 /// the simulator's per-event and per-message capture lists: the event core's
-/// drain and timeout closures (sim::Network's [this, host], sim::Host's
-/// [this, ConnKey]), deferred TCP replies, resolver continuations, UDP and
-/// TCP service handlers and authoritative observers. Callables that fit —
-/// sizeof(F) <= kInlineSize and nothrow-move-constructible — live entirely
-/// inside the object that carries them: storing or moving one costs zero
-/// heap allocations. Oversized or throwing-move callables (e.g. a resolver
-/// continuation that captures a whole DnsMessage) fall back to one heap
-/// allocation.
+/// delivery and timeout closures (sim::Network's [this, slot, host],
+/// sim::Host's [this, ConnKey]), deferred TCP replies, resolver
+/// continuations, UDP and TCP service handlers and authoritative observers.
+/// Callables that fit — sizeof(F) <= kInlineSize and
+/// nothrow-move-constructible — live entirely inside the object that carries
+/// them: storing or moving one costs zero heap allocations. Oversized or
+/// throwing-move callables (e.g. a resolver continuation that captures a
+/// whole DnsMessage) fall back to one heap allocation.
 ///
 /// Move-only means single ownership: a deferred reply or continuation can be
 /// handed on but never duplicated, so it cannot run twice by accident.

@@ -174,8 +174,8 @@ class Host {
   /// Table 6 rules for destination-as-source and loopback-source packets.
   [[nodiscard]] bool stack_accepts(const cd::net::Packet& packet) const;
 
-  /// Entry point used by Network once a packet clears all filters; the
-  /// packets of one (arrival tick, host) batch arrive here in send order.
+  /// Entry point used by Network once a packet clears all filters, called
+  /// from the packet's own delivery event at its arrival time.
   void deliver(const cd::net::Packet& packet);
 
   /// Draws an ephemeral port from the OS-designated range (used for TCP

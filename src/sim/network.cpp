@@ -241,39 +241,21 @@ void Network::send(Packet packet, Asn origin_asn) {
     case DropReason::kStackRejected: ++stats_.dropped_stack; break;
     case DropReason::kNone: {
       ++stats_.delivered;
+      ++stats_.delivery_batches;
       const SimTime delay = latency(origin_asn, host->asn(), packet);
-      // Coalesce into the (arrival time, host) slot. The first packet
-      // schedules the slot's single drain event — at exactly the queue
-      // position a per-packet delivery event would have had — and later
-      // same-slot packets ride along for the cost of a vector push.
-      const SimTime at = loop_.now() + delay;
-      const PendingSlot key{at, host};
-      if (last_slot_batch_ != nullptr && last_slot_key_ == key) {
-        last_slot_batch_->push_back(Delivery{std::move(packet), origin_asn});
-        return;
+      std::uint32_t slot;
+      if (free_slots_.empty()) {
+        slot = static_cast<std::uint32_t>(in_flight_.size());
+        in_flight_.push_back(Delivery{std::move(packet), origin_asn});
+      } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+        in_flight_[slot] = Delivery{std::move(packet), origin_asn};
       }
-      auto slot = pending_.find(key);
-      if (slot == pending_.end()) {
-        if (!slot_pool_.empty()) {
-          // Reuse a retired node — map node and batch vector capacity both
-          // recycled, so opening a slot allocates nothing in steady state.
-          auto node = std::move(slot_pool_.back());
-          slot_pool_.pop_back();
-          node.key() = key;
-          slot = pending_.insert(std::move(node)).position;
-        } else {
-          slot = pending_.try_emplace(key).first;
-        }
-        ++stats_.delivery_batches;
-        // The tiny [this, host] capture stays inside the callback's inline
-        // storage. The drain fires exactly at `at`, so now() recovers the
-        // slot key.
-        loop_.schedule_at(
-            at, [this, host] { drain_batch(loop_.now(), host); });
-      }
-      last_slot_key_ = key;
-      last_slot_batch_ = &slot->second;
-      slot->second.push_back(Delivery{std::move(packet), origin_asn});
+      // The [this, slot, host] capture stays inside the callback's inline
+      // storage.
+      loop_.schedule_at(loop_.now() + delay,
+                        [this, slot, host] { deliver(slot, host); });
       return;
     }
   }
@@ -283,41 +265,18 @@ void Network::send(Packet packet, Asn origin_asn) {
   cd::BufferPool::release(std::move(packet.payload));
 }
 
-void Network::drain_batch(SimTime at, Host* host) {
-  const auto it = pending_.find(PendingSlot{at, host});
-  if (it == pending_.end()) return;
-  // Detach the whole map node before delivering: handlers that send new
-  // traffic (always >= 1ms out) must open fresh slots, never append to a
-  // running batch — and the extracted node goes back to the slot pool
-  // afterwards instead of being freed.
-  auto node = pending_.extract(it);
-  last_slot_batch_ = nullptr;  // the memoized slot may be this node
-  std::vector<Delivery>& batch = node.mapped();
-  for (Delivery& d : batch) {
-    // Capture at the wire in front of the destination, packet by packet, so
-    // records land in exact delivery order with the arrival timestamp.
-    if (!captures_.empty()) {
-      record_capture(d.packet, DropReason::kNone, d.origin_asn);
-    }
-    host->deliver(d.packet);
-    cd::BufferPool::release(std::move(d.packet.payload));
+void Network::deliver(std::uint32_t slot, Host* host) {
+  // Take the packet out and free its slot before the host runs: its
+  // handlers send, and a send may grow in_flight_ under a reference.
+  Delivery d = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  // Capture at the wire in front of the destination, so records land in
+  // exact delivery order with the arrival timestamp.
+  if (!captures_.empty()) {
+    record_capture(d.packet, DropReason::kNone, d.origin_asn);
   }
-
-  batch.clear();
-  // Recycled vectors keep a small capacity floor so a steady-state slot
-  // never grows mid-burst: hash-jittered arrivals give small same-tick
-  // multiplicities, and node<->slot pairing shuffles between bursts, so
-  // without the floor an under-sized vector keeps meeting a bigger batch.
-  // The floor (not a high-water mark) keeps one giant batch from inflating
-  // every pooled node.
-  constexpr std::size_t kSlotReserveFloor = 16;
-  if (batch.capacity() < kSlotReserveFloor) batch.reserve(kSlotReserveFloor);
-  // Generous cap: a busy shard keeps hundreds of (tick, host) slots in
-  // flight at once, and a pooled node is just a few dozen idle bytes.
-  constexpr std::size_t kSlotPoolCap = 1024;
-  if (slot_pool_.size() < kSlotPoolCap) {
-    slot_pool_.push_back(std::move(node));
-  }
+  host->deliver(d.packet);
+  cd::BufferPool::release(std::move(d.packet.payload));
 }
 
 Network::TapId Network::add_tap(Tap tap) {

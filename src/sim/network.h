@@ -19,13 +19,6 @@ namespace cd::sim {
 
 class Host;
 
-/// One accepted packet waiting in a same-tick delivery batch, paired with
-/// the AS it physically originated in (capture filters see the origin).
-struct Delivery {
-  cd::net::Packet packet;
-  Asn origin_asn = 0;
-};
-
 /// Where (if anywhere) a packet was dropped.
 enum class DropReason : std::uint8_t {
   kNone,           // delivered
@@ -43,9 +36,9 @@ enum class DropReason : std::uint8_t {
 struct NetworkStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
-  /// Drain events scheduled by delivery: one per (arrival time, destination
-  /// host) slot. delivered / delivery_batches is the mean batch
-  /// size; equal counts mean every batch held a single packet.
+  /// Delivery events scheduled on the event loop: one per delivered packet,
+  /// so it always equals `delivered` (kept for the spill format and the
+  /// benchmark's counter).
   std::uint64_t delivery_batches = 0;
   std::uint64_t dropped_osav = 0;
   std::uint64_t dropped_dsav = 0;
@@ -160,12 +153,10 @@ class Network {
 
   /// Sends `packet` as if it physically originated inside `origin_asn`
   /// (spoofed sources are free to disagree with reality — that is the point).
-  /// Filtering outcome is reported to taps; delivery is scheduled on the
-  /// event loop. Accepted packets arriving at the same (SimTime, destination
-  /// host) coalesce into one pending vector drained by a single event-loop
-  /// entry: within a slot packets deliver in send order, the slot drains at
-  /// its first packet's queue position, and taps/captures observe packets
-  /// one by one with their exact arrival timestamps.
+  /// Filtering outcome is reported to taps; each accepted packet gets one
+  /// event-loop entry at its arrival time, so packets due at the same tick
+  /// deliver in send order, interleaved with any other event of that tick
+  /// in scheduling order.
   void send(cd::net::Packet packet, Asn origin_asn);
 
   /// Transport-layer policy all attached hosts consult (see
@@ -178,10 +169,10 @@ class Network {
   /// every exchange completed, timed out, or idle-closed).
   [[nodiscard]] std::size_t open_tcp_connections() const;
 
-  /// (arrival time, host) delivery slots still waiting for their drain
-  /// event — zero once the event loop has drained.
-  [[nodiscard]] std::size_t pending_delivery_slots() const {
-    return pending_.size();
+  /// Accepted packets still waiting for their delivery event — zero once
+  /// the event loop has drained.
+  [[nodiscard]] std::size_t packets_in_flight() const {
+    return in_flight_.size() - free_slots_.size();
   }
 
   /// Aggregated TransportCounters across every attached host.
@@ -243,6 +234,12 @@ class Network {
     cd::pcap::Capture* sink;
     CaptureOptions options;
   };
+  /// One accepted packet waiting for its delivery event, paired with the AS
+  /// it physically originated in (capture filters see the origin).
+  struct Delivery {
+    cd::net::Packet packet;
+    Asn origin_asn = 0;
+  };
 
   [[nodiscard]] DropReason classify(const cd::net::Packet& packet,
                                     Asn origin_asn, Host** out_host);
@@ -255,30 +252,15 @@ class Network {
                                        const AsInfo* dest) const;
   [[nodiscard]] SimTime latency(Asn from, Asn to,
                                 const cd::net::Packet& packet) const;
-  struct PendingSlot {
-    SimTime at;
-    Host* host;
-    friend bool operator==(const PendingSlot&, const PendingSlot&) = default;
-  };
-  struct PendingSlotHash {
-    std::size_t operator()(const PendingSlot& s) const {
-      std::uint64_t h =
-          static_cast<std::uint64_t>(s.at) * 0x9E3779B97F4A7C15ULL;
-      h ^= reinterpret_cast<std::uintptr_t>(s.host) + 0x9E3779B97F4A7C15ULL +
-           (h << 6) + (h >> 2);
-      return static_cast<std::size_t>(h);
-    }
-  };
-
   [[nodiscard]] static bool capture_wants(const CaptureEntry& entry,
                                           DropReason reason, Asn origin_asn);
   /// Serializes `packet` once and appends it to every capture that wants
   /// it. `reason` is kNone at delivery time, the drop reason otherwise.
   void record_capture(const cd::net::Packet& packet, DropReason reason,
                       Asn origin_asn);
-  /// Runs when the event loop reaches a (time, host) slot: hands the
-  /// pending packets to the host in send order and recycles the vector.
-  void drain_batch(SimTime at, Host* host);
+  /// Runs at a packet's arrival time: hands in_flight_[slot] to `host` and
+  /// frees the slot.
+  void deliver(std::uint32_t slot, Host* host);
 
   Topology& topology_;
   EventLoop& loop_;
@@ -292,21 +274,11 @@ class Network {
   std::vector<CaptureEntry> captures_;
   bool dispatching_taps_ = false;
   TransportOptions transport_;
-  /// Same-tick pending deliveries, one vector per (arrival time, host).
-  using PendingMap =
-      std::unordered_map<PendingSlot, std::vector<Delivery>, PendingSlotHash>;
-  PendingMap pending_;
-  /// Memo of the slot the previous send landed in: a same-tick burst to one
-  /// host (the coalescing best case) resolves the slot once instead of
-  /// hashing per packet. Safe because unordered_map never moves nodes on
-  /// insert/rehash; drain_batch invalidates it when it extracts the node.
-  PendingSlot last_slot_key_{};
-  std::vector<Delivery>* last_slot_batch_ = nullptr;
-  /// Retired slot nodes (map node + batch vector capacity) kept for reuse:
-  /// a segmented TCP stream opens one slot per segment, so recycling whole
-  /// nodes keeps the steady-state delivery path allocation-free (bounded
-  /// free list).
-  std::vector<PendingMap::node_type> slot_pool_;
+  /// Accepted packets awaiting delivery, indexed by the slot their event
+  /// captures; freed slots are reused, so steady-state sends allocate
+  /// nothing.
+  std::vector<Delivery> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   NetworkStats stats_;
 };
 

@@ -1,7 +1,7 @@
 // Allocation-regression guard (ctest label: alloc): the zero-alloc claims of
 // the event core and the delivery path, asserted with a real operator-new
 // counter so they cannot silently regress. After a warmup that fills the
-// pools (event nodes, wire buffers, per-tick delivery slots), a steady-state
+// pools (event nodes, wire buffers, in-flight packet slots), a steady-state
 // send->deliver cycle must perform ZERO heap allocations — same-tick bursts
 // and jittered singleton arrivals alike — and so must a steady-state
 // schedule/run cycle on the bare loop. The DNS name layer holds the same
@@ -83,7 +83,7 @@ struct DeliveryFixture {
 /// Sends one burst (pool-recycled payloads), drains it, and returns the heap
 /// allocations the whole cycle performed. `vary_payload` spreads arrivals
 /// over distinct ticks (content-hashed latency); identical payloads land on
-/// one tick (the delivery path's coalescing case).
+/// one tick, a burst of same-time delivery events.
 std::uint64_t burst_allocs(DeliveryFixture& f, bool vary_payload) {
   const auto src = net::IpAddr::must_parse("21.0.0.5");
   const auto dst = net::IpAddr::must_parse("22.0.0.1");

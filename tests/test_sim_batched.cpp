@@ -1,11 +1,13 @@
-// The batched-delivery guarantee: coalescing same-tick packet deliveries per
-// destination host (sim::Network) must be observably invisible. The harness
-// runs the quickstart campaign across seeds and shard counts — full
-// captures, drops included, follow-ups and analyst replays on — and demands
-// the golden results_digest and capture_digest (tests/campaign_goldens.h)
-// that per-packet delivery produced, plus the golden per-record first-hit
-// times, which results_digest leaves out. The checked-in pcap fixture is
-// re-verified byte-for-byte by tests/test_golden_pcap.cpp.
+// The delivery-order guarantee: every accepted packet is one event-loop
+// entry at its arrival time (sim::Network), the order that produced every
+// campaign golden. The harness runs the quickstart campaign across seeds and
+// shard counts — full captures, drops included, follow-ups and analyst
+// replays on — and demands the golden results_digest and capture_digest
+// (tests/campaign_goldens.h), plus the golden per-record first-hit times,
+// which results_digest leaves out. The checked-in pcap fixture is
+// re-verified byte-for-byte by tests/test_golden_pcap.cpp. The suite keeps
+// its name and "batched" label from the retired same-tick coalescing of
+// deliveries, which reproduced these same goldens.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -76,15 +78,15 @@ TEST(BatchedDelivery, DigestsMatchGoldensAcrossSeedsAndShards) {
         << "seed=" << fh.seed << " shards=" << fh.shards;
     EXPECT_EQ(capture_digest(r.capture), want.capture)
         << "seed=" << fh.seed << " shards=" << fh.shards;
-    // Batching preserves even the timing artifacts sharding is allowed to
-    // perturb: arrival times are pinned per record, not just per digest.
+    // Even the timing artifacts sharding is allowed to perturb hold:
+    // arrival times are pinned per record, not just per digest.
     EXPECT_EQ(first_hit_digest(r), fh.digest)
         << "seed=" << fh.seed << " shards=" << fh.shards;
 
-    // One drain event per (arrival tick, host) slot, never more than the
-    // packets delivered; every packet sent was delivered or dropped.
+    // One delivery event per delivered packet; every packet sent was
+    // delivered or dropped.
     EXPECT_GT(r.network_stats.delivery_batches, 0u);
-    EXPECT_LE(r.network_stats.delivery_batches, r.network_stats.delivered);
+    EXPECT_EQ(r.network_stats.delivery_batches, r.network_stats.delivered);
     EXPECT_EQ(r.network_stats.sent,
               r.network_stats.delivered + r.network_stats.dropped());
   }

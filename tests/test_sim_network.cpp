@@ -2,6 +2,10 @@
 // stacks (Table 6 rules as parameterized sweep), UDP delivery, and TCP.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "net/packet.h"
 #include "sim/host.h"
 #include "sim/network.h"
@@ -56,11 +60,85 @@ TEST(Network, DeliversToBoundService) {
   int received = 0;
   host.bind_udp(53, [&](const Packet&) { ++received; });
   f.network.send(udp("21.0.0.5", "22.0.0.1"), 1);
-  EXPECT_EQ(f.network.pending_delivery_slots(), 1u);
+  EXPECT_EQ(f.network.packets_in_flight(), 1u);
   f.loop.run();
   EXPECT_EQ(received, 1);
   EXPECT_EQ(f.network.stats().delivered, 1u);
-  EXPECT_EQ(f.network.pending_delivery_slots(), 0u);
+  EXPECT_EQ(f.network.packets_in_flight(), 0u);
+}
+
+// Every accepted packet is its own event-loop entry: a timer scheduled for
+// a packet's arrival tick between two sends of that packet runs between
+// their deliveries, in scheduling order (same-tick FIFO).
+TEST(Network, SameTickDeliveriesInterleaveWithOtherEventsInScheduleOrder) {
+  sim::SimTime arrival = -1;
+  {
+    Fixture f;
+    Host host(f.network, 2, sim::os_profile(sim::OsId::kUbuntu1904),
+              {IpAddr::must_parse("22.0.0.1")}, Rng(1));
+    host.bind_udp(53, [&](const Packet&) { arrival = f.loop.now(); });
+    f.network.send(udp("21.0.0.5", "22.0.0.1"), 1);
+    f.loop.run();
+  }
+  ASSERT_GT(arrival, 0);
+
+  Fixture f;
+  Host host(f.network, 2, sim::os_profile(sim::OsId::kUbuntu1904),
+            {IpAddr::must_parse("22.0.0.1")}, Rng(1));
+  std::string order;
+  host.bind_udp(53, [&](const Packet&) {
+    EXPECT_EQ(f.loop.now(), arrival);
+    order += 'P';
+  });
+  f.network.send(udp("21.0.0.5", "22.0.0.1"), 1);
+  f.loop.schedule_at(arrival, [&] { order += 'T'; });
+  f.network.send(udp("21.0.0.5", "22.0.0.1"), 1);
+  EXPECT_EQ(f.network.packets_in_flight(), 2u);
+  f.loop.run();
+  EXPECT_EQ(order, "PTP");
+  EXPECT_EQ(f.network.stats().delivery_batches, 2u);
+}
+
+// A handler that sends from inside its own delivery grows the in-flight
+// table while the packet it was handed is still in use; the packet must
+// survive that (ASan checks the reads after the burst) and every packet of
+// the burst must arrive.
+TEST(Network, HandlerBurstFromInsideDeliveryArrivesWhole) {
+  constexpr int kBurst = 64;
+  Fixture f;
+  Host relay(f.network, 2, sim::os_profile(sim::OsId::kUbuntu1904),
+             {IpAddr::must_parse("22.0.0.1")}, Rng(1));
+  Host sink(f.network, 1, sim::os_profile(sim::OsId::kUbuntu1904),
+            {IpAddr::must_parse("21.0.0.9")}, Rng(2));
+  int relayed = 0;
+  relay.bind_udp(53, [&](const Packet& packet) {
+    const std::vector<std::uint8_t> before = packet.payload;
+    for (int i = 0; i < kBurst; ++i) {
+      f.network.send(net::make_udp(IpAddr::must_parse("22.0.0.1"),
+                                   static_cast<std::uint16_t>(2000 + i),
+                                   IpAddr::must_parse("21.0.0.9"), 53,
+                                   {static_cast<std::uint8_t>(i), 7, 7, 7}),
+                     2);
+    }
+    EXPECT_EQ(packet.payload, before);
+    EXPECT_EQ(packet.src, IpAddr::must_parse("21.0.0.5"));
+    ++relayed;
+  });
+  std::vector<int> seen(kBurst, 0);
+  sink.bind_udp(53, [&](const Packet& packet) {
+    ASSERT_EQ(packet.payload.size(), 4u);
+    ++seen.at(packet.payload[0]);
+  });
+  f.network.send(net::make_udp(IpAddr::must_parse("21.0.0.5"), 1000,
+                               IpAddr::must_parse("22.0.0.1"), 53,
+                               {1, 2, 3, 4, 5, 6, 7, 8}),
+                 1);
+  f.loop.run();
+  EXPECT_EQ(relayed, 1);
+  EXPECT_EQ(seen, std::vector<int>(kBurst, 1));
+  EXPECT_EQ(f.network.stats().delivered, 1u + kBurst);
+  EXPECT_EQ(f.network.stats().delivery_batches, 1u + kBurst);
+  EXPECT_EQ(f.network.packets_in_flight(), 0u);
 }
 
 TEST(Network, OsavDropsForeignSourceAtEgress) {

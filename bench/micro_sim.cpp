@@ -191,6 +191,28 @@ void BM_Rfc8020AncestorWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_Rfc8020AncestorWalk);
 
+// The campaign's shape: every probe name is new, so each query misses, is
+// answered NXDOMAIN (300 s TTL) and is looked up again, while simulated time
+// moves on 10 ms per name. `entries` is the cache's size at the end: the
+// names still live plus whatever dead ones the cache has not dropped.
+void BM_CacheNegativeChurn(benchmark::State& state) {
+  dns::Cache cache;
+  const auto suffix = dns::DnsName::must_parse("ef01.64512.m0.x1.dns-lab.org");
+  constexpr dns::CacheTime kStep = 10'000;  // 10 ms
+  dns::CacheTime now = 0;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const dns::DnsName name = suffix.prepend("abcd").prepend(std::to_string(i++));
+    benchmark::DoNotOptimize(cache.lookup(name, dns::RrType::kA, now));
+    cache.insert_nxdomain(name, 300, now);
+    benchmark::DoNotOptimize(cache.lookup(name, dns::RrType::kA, now));
+    now += kStep;
+  }
+  state.counters["entries"] =
+      benchmark::Counter(static_cast<double>(cache.size()));
+}
+BENCHMARK(BM_CacheNegativeChurn);
+
 void BM_PortAllocators(benchmark::State& state) {
   Rng rng(7);
   resolver::UniformRangeAllocator uniform(1024, 65535, rng.split(1));

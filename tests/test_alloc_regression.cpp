@@ -7,7 +7,9 @@
 // schedule/run cycle on the bare loop. The DNS name layer holds the same
 // line: building a v4 probe name, stepping to its parent or a suffix,
 // encoding a one-question query into a pooled buffer, and writing a probe
-// query straight from its fields allocate nothing. So does carrying a
+// query straight from its fields allocate nothing, and neither does a cache
+// lookup that returns no records (a miss, an NXDOMAIN cover from an
+// ancestor, a NODATA hit). So does carrying a
 // per-message callback: a [this, ConnKey]-sized session reply is stored,
 // moved and invoked inside SmallFn's inline buffer. A recursive resolver
 // answering a client from its cache is not zero-alloc (decode, continuation,
@@ -20,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "dns/cache.h"
 #include "dns/message.h"
 #include "dns/zone.h"
 #include "net/packet.h"
@@ -274,6 +277,37 @@ TEST(AllocRegression, ProbeQueryEncodeIsZeroAlloc) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(bytes, 0u);
+}
+
+TEST(AllocRegression, CacheLookupsWithoutRecordsAreZeroAlloc) {
+  const scanner::QnameCodec codec(dns::DnsName::must_parse("dns-lab.org"),
+                                  "x1");
+  dns::Cache cache;
+  // Warm: an NS RRset on the zone, per-probe NXDOMAIN names beside the one
+  // probed, the keyword label's NXDOMAIN and a NODATA entry.
+  cache.insert_positive({dns::make_ns(dns::DnsName::must_parse("dns-lab.org"),
+                                      dns::DnsName::must_parse("ns.dns-lab.org"))},
+                        0);
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    cache.insert_nxdomain(codec.encode(v4_probe(i)), 300, 0);
+  }
+  const dns::DnsName deep = codec.encode(v4_probe(1000));
+  cache.insert_nxdomain(deep.suffix(3), 300, 0);  // x1.dns-lab.org
+  const dns::DnsName nodata = dns::DnsName::must_parse("ns.dns-lab.org");
+  cache.insert_nodata(nodata, dns::RrType::kAaaa, 300, 0);
+  const dns::DnsName miss = dns::DnsName::must_parse("www.example.org");
+
+  std::size_t hits = 0;
+  const std::uint64_t allocs = allocs_of(1000, [&] {
+    hits += cache.lookup(miss, dns::RrType::kA, 1).kind ==
+            dns::CacheHitKind::kMiss;
+    hits += cache.lookup(deep, dns::RrType::kA, 1).kind ==
+            dns::CacheHitKind::kNegativeName;
+    hits += cache.lookup(nodata, dns::RrType::kAaaa, 1).kind ==
+            dns::CacheHitKind::kNegativeType;
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(hits, 3u * 1001);
 }
 
 // --- resolver client path ----------------------------------------------------

@@ -8,8 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -35,11 +34,15 @@ struct CacheResult {
 
 struct CacheConfig {
   std::uint32_t max_ttl = 86400;  // clamp stored TTLs
-  std::size_t max_entries = 100000;
 };
 
 /// A per-resolver DNS cache. All operations take the current simulated time;
-/// expired entries are treated as absent and lazily evicted.
+/// expired entries are treated as absent. Every owner name has one node in
+/// one hash table, holding the name's NXDOMAIN entry and one slot per type
+/// (its RRset and its NODATA entry). Dead entries are swept out once the
+/// inserts since the last sweep reach max(64, half the entries that sweep
+/// left): per-probe NXDOMAIN names die in the thousands during a campaign,
+/// and the sweep costs O(1) amortized per insert.
 class Cache {
  public:
   explicit Cache(CacheConfig config = {});
@@ -61,58 +64,36 @@ class Cache {
   /// Drops expired entries; returns how many were removed.
   std::size_t purge(CacheTime now);
 
+  /// Entries held, live or not yet swept: RRsets, NXDOMAIN names and NODATA
+  /// (name, type) pairs.
   [[nodiscard]] std::size_t size() const;
 
  private:
-  struct PositiveEntry {
+  /// The expiry of an entry that is not there: before any simulated time.
+  static constexpr CacheTime kAbsent = std::numeric_limits<CacheTime>::min();
+  static constexpr std::size_t kMinSweepInserts = 64;
+
+  struct Slot {
+    RrType type;
+    CacheTime rrset_expires = kAbsent;
+    CacheTime nodata_expires = kAbsent;
     std::vector<DnsRr> records;
-    CacheTime expires;
   };
-  struct NegativeEntry {
-    CacheTime expires;
+  struct Node {
+    CacheTime nxdomain_expires = kAbsent;
+    std::vector<Slot> slots;
   };
 
-  // An owner name and a type. NXDOMAIN covers every type, so its entries
-  // are keyed with RrType::kAny. Lookups probe with a KeyRef, suffix `n` of
-  // a name hashed in place, so the RFC 8020 ancestor walk copies no names.
-  struct Key {
-    DnsName name;
-    RrType type;
-  };
-  struct KeyRef {
-    const SuffixHashes* name;
-    std::size_t n;
-    RrType type;
-  };
-  struct KeyHash {
-    using is_transparent = void;
-    static std::size_t mix(std::size_t name_hash, RrType type) {
-      return name_hash * 31 + static_cast<std::size_t>(type);
-    }
-    std::size_t operator()(const Key& k) const noexcept {
-      return mix(k.name.hash(), k.type);
-    }
-    std::size_t operator()(const KeyRef& k) const noexcept {
-      return mix(k.name->hash(k.n), k.type);
-    }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const Key& a, const Key& b) const {
-      return a.type == b.type && a.name == b.name;
-    }
-    bool operator()(const KeyRef& a, const Key& b) const {
-      return a.type == b.type && a.name->name().suffix_equals(a.n, b.name);
-    }
-    bool operator()(const Key& a, const KeyRef& b) const {
-      return (*this)(b, a);
-    }
-  };
+  /// Counts one insert and sweeps if one is due.
+  void count_insert(CacheTime now);
+  /// The slot for `type` at `name`, added if missing.
+  Slot& slot(const DnsName& name, RrType type);
+  [[nodiscard]] CacheTime expiry(std::uint32_t ttl, CacheTime now) const;
 
   CacheConfig config_;
-  std::unordered_map<Key, PositiveEntry, KeyHash, KeyEq> positive_;
-  std::unordered_map<Key, NegativeEntry, KeyHash, KeyEq> nxdomain_;
-  std::unordered_map<Key, NegativeEntry, KeyHash, KeyEq> nodata_;
+  std::unordered_map<DnsName, Node, NameHash, NameEq> table_;
+  std::size_t inserts_since_sweep_ = 0;
+  std::size_t sweep_after_ = kMinSweepInserts;
 };
 
 }  // namespace cd::dns

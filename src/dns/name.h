@@ -132,6 +132,35 @@ class SuffixHashes {
   std::array<std::uint32_t, DnsName::kMaxLabels + 1> hashes_;
 };
 
+/// Suffix `n` of a name, hashed in place: how tables keyed by DnsName are
+/// probed for a name's ancestors without building them.
+struct NameRef {
+  const SuffixHashes* name;
+  std::size_t n;
+};
+
+/// Transparent hash and equality for tables keyed by DnsName, so they can be
+/// probed with a DnsName or a NameRef. Both fold case, as DnsName's == does.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(const DnsName& name) const noexcept {
+    return name.hash();
+  }
+  std::size_t operator()(const NameRef& ref) const noexcept {
+    return ref.name->hash(ref.n);
+  }
+};
+struct NameEq {
+  using is_transparent = void;
+  bool operator()(const DnsName& a, const DnsName& b) const { return a == b; }
+  bool operator()(const NameRef& a, const DnsName& b) const {
+    return a.name->name().suffix_equals(a.n, b);
+  }
+  bool operator()(const DnsName& a, const NameRef& b) const {
+    return (*this)(b, a);
+  }
+};
+
 /// Compression context threaded through message encoding: the suffixes
 /// already emitted, as (suffix hash, offset) pairs in emission order, so
 /// later names can point at them. A hash hit is only taken after the bytes

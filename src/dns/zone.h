@@ -64,33 +64,6 @@ class Zone {
 
     [[nodiscard]] const std::vector<DnsRr>* find(RrType type) const;
   };
-  /// Suffix `n` of a name, hashed in place (see SuffixHashes).
-  struct NameRef {
-    const SuffixHashes* name;
-    std::size_t n;
-  };
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(const DnsName& name) const noexcept {
-      return name.hash();
-    }
-    std::size_t operator()(const NameRef& ref) const noexcept {
-      return ref.name->hash(ref.n);
-    }
-  };
-  struct NameEq {
-    using is_transparent = void;
-    bool operator()(const DnsName& a, const DnsName& b) const {
-      return a == b;
-    }
-    bool operator()(const NameRef& a, const DnsName& b) const {
-      return a.name->name().suffix_equals(a.n, b);
-    }
-    bool operator()(const DnsName& a, const NameRef& b) const {
-      return (*this)(b, a);
-    }
-  };
-
   /// Registers `name` and every ancestor down to the origin; returns its node.
   Node& add_node(const DnsName& name);
   void collect_glue(const std::vector<DnsRr>& ns_set,

@@ -1,6 +1,7 @@
 #include "resolver/recursive.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "net/special.h"
 #include "resolver/auth.h"  // tcp_frame_pooled / tcp_unframe_view
@@ -44,6 +45,29 @@ RecursiveResolver::ResolveCallback reply_to(const DnsMessage& query,
     resp.answers = records;
     send(resp);
   };
+}
+
+/// The address an A or AAAA record carries; nullopt for any other record.
+std::optional<IpAddr> address_of(const DnsRr& rr) {
+  if (const auto* a = std::get_if<cd::dns::ARdata>(&rr.rdata)) return a->addr;
+  if (const auto* aaaa = std::get_if<cd::dns::AaaaRdata>(&rr.rdata)) {
+    return aaaa->addr;
+  }
+  return std::nullopt;
+}
+
+/// Calls `add` with each cached address of `name`: its A records, then its
+/// AAAA records, each in record order.
+template <typename Add>
+void for_each_cached_address(const cd::dns::Cache& cache, const DnsName& name,
+                             cd::sim::SimTime now, Add add) {
+  for (RrType t : {RrType::kA, RrType::kAaaa}) {
+    const auto hit = cache.lookup(name, t, now);
+    if (hit.kind != CacheHitKind::kPositive) continue;
+    for (const DnsRr& rr : hit.records) {
+      if (const auto addr = address_of(rr)) add(*addr);
+    }
+  }
 }
 
 }  // namespace
@@ -224,18 +248,9 @@ void RecursiveResolver::seed_servers_from_cache(const TaskPtr& task) {
     for (const DnsRr& rr : ns_hit.records) {
       const auto* rd = std::get_if<cd::dns::NsRdata>(&rr.rdata);
       if (!rd) continue;
-      for (RrType t : {RrType::kA, RrType::kAaaa}) {
-        const auto addr_hit = cache_.lookup(rd->nsdname, t, now);
-        if (addr_hit.kind != CacheHitKind::kPositive) continue;
-        for (const DnsRr& arr : addr_hit.records) {
-          if (const auto* a = std::get_if<cd::dns::ARdata>(&arr.rdata)) {
-            servers.push_back(a->addr);
-          } else if (const auto* aaaa =
-                         std::get_if<cd::dns::AaaaRdata>(&arr.rdata)) {
-            servers.push_back(aaaa->addr);
-          }
-        }
-      }
+      for_each_cached_address(cache_, rd->nsdname, now, [&](const IpAddr& a) {
+        servers.push_back(a);
+      });
     }
     if (!servers.empty()) {
       task->servers = std::move(servers);
@@ -527,28 +542,14 @@ void RecursiveResolver::handle_delegation(const TaskPtr& task,
     const bool is_ns_target =
         std::find(ns_names.begin(), ns_names.end(), rr.name) != ns_names.end();
     if (!is_ns_target) continue;
-    if (const auto* a = std::get_if<cd::dns::ARdata>(&rr.rdata)) {
-      add_addr(a->addr);
-      cache_.insert_positive({rr}, now);
-    } else if (const auto* aaaa = std::get_if<cd::dns::AaaaRdata>(&rr.rdata)) {
-      add_addr(aaaa->addr);
+    if (const auto addr = address_of(rr)) {
+      add_addr(*addr);
       cache_.insert_positive({rr}, now);
     }
   }
   // Glue may also already be cached.
   for (const DnsName& ns : ns_names) {
-    for (RrType t : {RrType::kA, RrType::kAaaa}) {
-      const auto hit = cache_.lookup(ns, t, now);
-      if (hit.kind != CacheHitKind::kPositive) continue;
-      for (const DnsRr& rr : hit.records) {
-        if (const auto* a = std::get_if<cd::dns::ARdata>(&rr.rdata)) {
-          add_addr(a->addr);
-        } else if (const auto* aaaa =
-                       std::get_if<cd::dns::AaaaRdata>(&rr.rdata)) {
-          add_addr(aaaa->addr);
-        }
-      }
-    }
+    for_each_cached_address(cache_, ns, now, add_addr);
   }
 
   if (next_servers.empty()) {
@@ -568,11 +569,8 @@ void RecursiveResolver::handle_delegation(const TaskPtr& task,
               std::vector<IpAddr> servers;
               if (rcode == Rcode::kNoError) {
                 for (const DnsRr& rr : records) {
-                  if (const auto* a = std::get_if<cd::dns::ARdata>(&rr.rdata)) {
-                    servers.push_back(a->addr);
-                  } else if (const auto* aaaa =
-                                 std::get_if<cd::dns::AaaaRdata>(&rr.rdata)) {
-                    servers.push_back(aaaa->addr);
+                  if (const auto addr = address_of(rr)) {
+                    servers.push_back(*addr);
                   }
                 }
               }
